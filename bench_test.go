@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vpir-sim/vpir/internal/asm"
 	"github.com/vpir-sim/vpir/internal/core"
 	"github.com/vpir-sim/vpir/internal/emu"
 	"github.com/vpir-sim/vpir/internal/faultinject"
@@ -111,6 +112,42 @@ func BenchmarkSimBaseStall(b *testing.B) {
 	benchMachineOn(b, "chase", cfg, false)
 }
 
+// BenchmarkSimLongCold is a cold long run: every op builds a machine for a
+// freshly assembled gcc ×4 (about 4M instructions) and runs it to halt,
+// with the assembly outside the timer. Its B/op shows that a machine's
+// memory does not grow with the program: the execution-driven oracle keeps
+// a ROB-sized window where a whole-program trace held 17 bytes per
+// instruction. Report-only: it has no simcycles/s, so bench-check's
+// regression gate skips it, while the allocs/op ceiling still applies.
+func BenchmarkSimLongCold(b *testing.B) {
+	if testing.Short() {
+		b.Skip("long cold-machine benchmark skipped in -short mode")
+	}
+	w, err := workload.Get("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var insts uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p, err := asm.Assemble("gcc.s", w.Source(4))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		m, err := core.New(p, core.DefaultConfig(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Run(0); err != nil {
+			b.Fatal(err)
+		}
+		insts += m.Stats().Committed
+	}
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "siminsts/s")
+}
+
 func BenchmarkSimIR(b *testing.B) { benchMachine(b, core.IRChoice(false), false) }
 func BenchmarkSimVP(b *testing.B) {
 	benchMachine(b, core.VPChoice(vp.Magic, core.SB, core.ME, 1), false)
@@ -145,7 +182,8 @@ func BenchmarkSimBaseMetrics(b *testing.B) { benchMachine(b, core.DefaultConfig(
 // benchMachineReset is benchMachine on a reused machine: one core.New,
 // then Machine.Reset per iteration. The gap to the corresponding cold
 // benchmark is what a sweep worker or server pool saves per run by pooling
-// machines (construction and the functional pre-run amortize away).
+// machines (construction amortizes away; the machine's emulator is rewound
+// in place and still runs alongside every run).
 func benchMachineReset(b *testing.B, cfg core.Config) {
 	b.Helper()
 	if testing.Short() {
@@ -242,8 +280,8 @@ func BenchmarkEmuFastForward(b *testing.B) {
 // detailed simulation rate measured on the same machine. The run fails
 // outright below 5×, so `make bench-check` (which runs this benchmark
 // standalone) guards the speedup, not just its drift. Deliberately outside
-// the BENCH_baseline alloc gate: a 65M-inst fan-out allocates interval
-// oracles by design.
+// the BENCH_baseline alloc gate: a 65M-inst fan-out allocates one
+// interval-sized oracle trace per interval by design.
 func BenchmarkSampledSpeedup(b *testing.B) {
 	if testing.Short() {
 		b.Skip("paper-scale sampling benchmark skipped in -short mode")

@@ -5,10 +5,11 @@ import "testing"
 // FuzzRunSource is the end-to-end never-panic contract: whatever source
 // text arrives, under any technique, assembling and simulating it must
 // either succeed or return an error — never panic, and never run away
-// (MaxInsts bounds the functional pre-run and the timing run; a tight
-// watchdog bounds simulated-time livelock). This is exactly the service's
-// exposure: /v1/run executes attacker-shaped configurations against the
-// pipeline, so the emulator and simulator must be total functions.
+// (MaxInsts bounds the functional emulator that runs just ahead of the
+// timing core, and the timing run; a tight watchdog bounds simulated-time
+// livelock). This is exactly the service's exposure: /v1/run executes
+// attacker-shaped configurations against the pipeline, so the emulator and
+// simulator must be total functions.
 //
 // Run the short smoke with `make fuzz-smoke`, or dig deeper with
 // `go test -fuzz FuzzRunSource -fuzztime 5m .`.
@@ -40,6 +41,19 @@ main:   lw $t1, val
 		// An infinite retiring loop: MaxInsts must bound it.
 		{1, ".text\nmain: j main\n"},
 		{0, "garbage that will not assemble"},
+		// An unknown syscall after ~800 instructions: the machine builds,
+		// and Run fails with the emulator's fault once everything before
+		// it has committed.
+		{2, `
+        .text
+main:   addiu $t0, $zero, 200
+loop:   addiu $t1, $t1, 3
+        addu  $t2, $t2, $t1
+        addiu $t0, $t0, -1
+        bne   $t0, $zero, loop
+        addiu $v0, $zero, 99
+        syscall
+`},
 	}
 	for _, s := range seeds {
 		f.Add(s.tech, s.src)

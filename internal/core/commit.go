@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 
 	"github.com/vpir-sim/vpir/internal/emu"
@@ -71,10 +72,14 @@ func (m *Machine) commit() error {
 		m.robCount--
 
 		m.commitCursor++
+		m.oracle.release()
 		m.stats.Committed++
 		m.lastRetire = m.cycle
 		m.itersAtRetire = m.activeIters
-		if m.commitCursor == int64(m.oracle.Len()) {
+		if _, ok := m.oracle.at(m.commitCursor); !ok {
+			if err := m.oracle.err; err != nil {
+				return fmt.Errorf("core: functional execution faulted after %d instructions: %w", m.commitCursor, err)
+			}
 			m.halted = true
 		}
 	}
@@ -95,18 +100,21 @@ func (m *Machine) checkOracle(e *robEntry) error {
 	if e.traceIdx != m.commitCursor {
 		return m.divergence(e, "commit order", e.traceIdx, m.commitCursor)
 	}
-	ti := e.traceIdx
-	if e.pc != m.oracle.PC[ti] {
-		return m.divergence(e, "pc", e.pc, m.oracle.PC[ti])
+	o, ok := m.oracle.at(e.traceIdx)
+	if !ok {
+		return m.divergence(e, "commit order", e.traceIdx, "end of the correct path")
 	}
-	if e.in.Dest != isa.NoReg && e.result != m.oracle.Result[ti] {
-		return m.divergence(e, "result", e.result, m.oracle.Result[ti])
+	if e.pc != o.pc {
+		return m.divergence(e, "pc", e.pc, o.pc)
 	}
-	if e.in.Op.IsMem() && e.addr != m.oracle.Addr[ti] {
-		return m.divergence(e, "address", e.addr, m.oracle.Addr[ti])
+	if e.in.Dest != isa.NoReg && e.result != o.result {
+		return m.divergence(e, "result", e.result, o.result)
 	}
-	if e.in.Op.IsCondBranch() && e.actualTaken != m.oracle.Taken[ti] {
-		return m.divergence(e, "direction", e.actualTaken, m.oracle.Taken[ti])
+	if e.in.Op.IsMem() && e.addr != o.addr {
+		return m.divergence(e, "address", e.addr, o.addr)
+	}
+	if e.in.Op.IsCondBranch() && e.actualTaken != o.taken {
+		return m.divergence(e, "direction", e.actualTaken, o.taken)
 	}
 	return nil
 }

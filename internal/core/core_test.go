@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/vpir-sim/vpir/internal/asm"
+	"github.com/vpir-sim/vpir/internal/emu"
 	"github.com/vpir-sim/vpir/internal/prog"
 	"github.com/vpir-sim/vpir/internal/vp"
 )
@@ -226,6 +227,17 @@ func assembleTest(t testing.TB, name string) *prog.Program {
 	return p
 }
 
+// emulate runs p to completion on the functional emulator: the
+// architectural result every timing configuration must reproduce.
+func emulate(t testing.TB, p *prog.Program) *emu.CPU {
+	t.Helper()
+	cpu := emu.New(p)
+	if _, err := cpu.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	return cpu
+}
+
 // allConfigs enumerates every configuration the paper studies.
 func allConfigs() map[string]Config {
 	cfgs := map[string]Config{
@@ -252,6 +264,7 @@ func allConfigs() map[string]Config {
 func TestAllConfigsMatchOracle(t *testing.T) {
 	for progName := range testPrograms {
 		p := assembleTest(t, progName)
+		ref := emulate(t, p)
 		for cfgName, cfg := range allConfigs() {
 			t.Run(progName+"/"+cfgName, func(t *testing.T) {
 				m, err := New(p, cfg, 0)
@@ -264,15 +277,15 @@ func TestAllConfigsMatchOracle(t *testing.T) {
 				if !m.Halted() {
 					t.Fatal("machine did not halt (deadlock?)")
 				}
-				if got, want := m.Output(), m.Oracle().Output; got != want {
+				if got, want := m.Output(), ref.Output.String(); got != want {
 					t.Errorf("output = %q, want %q", got, want)
 				}
-				if got, want := m.ExitCode(), m.Oracle().ExitCode; got != want {
+				if got, want := m.ExitCode(), ref.ExitCode; got != want {
 					t.Errorf("exit = %d, want %d", got, want)
 				}
 				s := m.Stats()
-				if s.Committed != uint64(m.Oracle().Len()) {
-					t.Errorf("committed %d, oracle %d", s.Committed, m.Oracle().Len())
+				if s.Committed != ref.InstCount {
+					t.Errorf("committed %d, oracle %d", s.Committed, ref.InstCount)
 				}
 			})
 		}
@@ -452,6 +465,7 @@ func TestConfigNames(t *testing.T) {
 func TestHybridMatchesOracle(t *testing.T) {
 	for progName := range testPrograms {
 		p := assembleTest(t, progName)
+		ref := emulate(t, p)
 		for _, cfg := range []Config{
 			HybridChoice(vp.Magic, SB, ME, 0),
 			HybridChoice(vp.Magic, NSB, NME, 1),
@@ -469,7 +483,7 @@ func TestHybridMatchesOracle(t *testing.T) {
 				if !m.Halted() {
 					t.Fatal("machine did not halt")
 				}
-				if got, want := m.Output(), m.Oracle().Output; got != want {
+				if got, want := m.Output(), ref.Output.String(); got != want {
 					t.Errorf("output = %q, want %q", got, want)
 				}
 			})

@@ -64,11 +64,13 @@ func (m *Machine) decode() error {
 		m.seq++
 
 		// Correct-path trace tracking.
-		if m.traceCursor >= 0 && m.traceCursor < int64(m.oracle.Len()) &&
-			m.oracle.PC[m.traceCursor] == f.pc {
-			e.traceIdx = m.traceCursor
-			m.traceCursor++
-		} else {
+		if m.traceCursor >= 0 {
+			if o, ok := m.oracle.at(m.traceCursor); ok && o.pc == f.pc {
+				e.traceIdx = m.traceCursor
+				m.traceCursor++
+			}
+		}
+		if e.traceIdx < 0 {
 			m.traceCursor = -2 // off the correct path until a squash repairs it
 		}
 
@@ -339,8 +341,8 @@ func (m *Machine) tryPredictAt(e *robEntry, saturated, skipKnownAddr bool) {
 		var oracleVal isa.Word
 		have := false
 		if e.traceIdx >= 0 {
-			oracleVal = m.oracle.Result[e.traceIdx]
-			have = true
+			o, _ := m.oracle.at(e.traceIdx)
+			oracleVal, have = o.result, true
 		}
 		if v, ok := m.vpt.PredictAt(e.pc, oracleVal, have, inflight, minConf); ok {
 			m.traceEvent(e, func(ev *PipeEvent) { ev.Pred = true })
@@ -359,8 +361,8 @@ func (m *Machine) tryPredictAt(e *robEntry, saturated, skipKnownAddr bool) {
 		var oracleAddr isa.Word
 		have := false
 		if e.traceIdx >= 0 {
-			oracleAddr = isa.Word(m.oracle.Addr[e.traceIdx])
-			have = true
+			o, _ := m.oracle.at(e.traceIdx)
+			oracleAddr, have = isa.Word(o.addr), true
 		}
 		if v, ok := m.vpa.PredictAt(e.pc, oracleAddr, have, inflight, aMin); ok {
 			e.addrPred = true

@@ -339,8 +339,11 @@ func (m *Machine) resolveBranch(idx int32, e *robEntry) {
 		return
 	}
 	m.stats.Squashes++
-	spurious := e.traceIdx >= 0 && e.traceIdx+1 < int64(m.oracle.Len()) &&
-		e.actualNext != m.oracle.PC[e.traceIdx+1]
+	spurious := false
+	if e.traceIdx >= 0 {
+		o, ok := m.oracle.at(e.traceIdx + 1)
+		spurious = ok && e.actualNext != o.pc
+	}
 	if spurious {
 		m.stats.SpuriousSquashes++
 	}

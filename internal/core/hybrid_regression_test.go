@@ -23,7 +23,8 @@ func TestHybridReuseNeverStale(t *testing.T) {
 	}
 	m.debugReuse = func(e *robEntry) {
 		if e.traceIdx >= 0 && e.reused && e.in.Dest != 0xFF {
-			want := m.oracle.Result[e.traceIdx]
+			o, _ := m.oracle.at(e.traceIdx)
+			want := o.result
 			if e.result != want {
 				t.Fatalf("WRONG REUSE at pc %#x line %d inst %d: reused %d want %d; op=%v src1val=%d src2val=%d final=[%v %v]",
 					e.pc, m.prog.SrcLines[e.pc], e.traceIdx, e.result, want,

@@ -44,7 +44,7 @@ type Machine struct {
 	vpt    *vp.Table // result predictions (nil unless Config.NeedsVPT)
 	vpa    *vp.Table // address predictions (nil unless Config.NeedsVPA)
 	rb     *reuse.Buffer
-	oracle *emu.TraceLog
+	oracle oracleWindow // the correct path, streamed (see oracle.go)
 
 	// tech is the active technique's integration into the cycle loop: the
 	// decode-time reuse/predict arbitration, commit-time training, store
@@ -161,33 +161,33 @@ type Machine struct {
 	debugReuse func(e *robEntry)
 }
 
-// New builds a machine for the program. The functional emulator is run
-// first (up to maxInsts instructions, 0 = to completion) to produce the
-// correct-path oracle trace; the timing simulation then reproduces exactly
-// that instruction stream and is checked against it at commit. The trace
-// depends only on (program, maxInsts), so it is collected once and shared
-// by every machine built for the same program (see oracle.go).
+// New builds a machine for the program. The machine owns a functional
+// emulator that runs just ahead of the timing model (up to maxInsts
+// instructions, 0 = to completion) and supplies the correct-path oracle;
+// the timing simulation reproduces exactly that instruction stream and is
+// checked against it at commit (see oracle.go). New executes the first
+// instruction, so a program that faults on it fails here; a later
+// functional fault surfaces from Run once everything before it has
+// committed.
 func New(p *prog.Program, cfg Config, maxInsts uint64) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	oracle, err := collectOracle(p, maxInsts)
-	if err != nil {
-		return nil, fmt.Errorf("core: functional pre-run failed: %w", err)
-	}
-	if oracle.Len() == 0 {
-		return nil, fmt.Errorf("core: program retired no instructions")
-	}
-
 	m := &Machine{
 		cfg:     cfg,
 		prog:    p,
 		decoded: p.Decoded(),
 		mem:     mem.NewMemory(),
-		oracle:  oracle,
 	}
+	m.oracle.cpu, m.oracle.max = emu.New(p), int64(maxInsts)
 	m.buildStructures(cfg)
 	m.resetRunState()
+	if _, ok := m.oracle.at(0); !ok {
+		if err := m.oracle.err; err != nil {
+			return nil, fmt.Errorf("core: functional execution failed: %w", err)
+		}
+		return nil, fmt.Errorf("core: program retired no instructions")
+	}
 	return m, nil
 }
 
@@ -196,9 +196,11 @@ func New(p *prog.Program, cfg Config, maxInsts uint64) (*Machine, error) {
 // whose geometry is unchanged: the ROB and LSQ arrays, the event wheel and
 // its per-slot capacity, the checkpoint pool, the fetch ring (including the
 // RAS snapshot storage in each slot), the VPT/RB/cache/predictor tables,
-// and the sparse memory pages. The program, the functional oracle trace and
-// the instruction cap given to New are kept; Reset does not repeat the
-// functional pre-run.
+// the sparse memory pages and the oracle ring. The program and the
+// instruction cap given to New are kept, and the machine's functional
+// emulator is rewound in place to the program's start. (A machine placed on
+// a checkpoint has no emulator and keeps its interval trace; move it with
+// ResetTo.)
 //
 // Determinism contract: a Reset machine produces bit-identical Stats,
 // Output and ExitCode to a machine built fresh by New with the same
@@ -208,6 +210,16 @@ func (m *Machine) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	if m.oracle.cpu != nil {
+		m.oracle.cpu.Reset()
+	}
+	m.reset(cfg)
+	return nil
+}
+
+// reset is Reset for a validated configuration, leaving the oracle's
+// source where it is.
+func (m *Machine) reset(cfg Config) {
 	// Return in-flight branch checkpoints to the pool before the ROB is
 	// cleared, so the pool's high-water bound survives machine reuse.
 	for i := range m.rob {
@@ -219,7 +231,6 @@ func (m *Machine) Reset(cfg Config) error {
 	m.buildStructures(cfg)
 	m.cfg = cfg
 	m.resetRunState()
-	return nil
 }
 
 // buildStructures (re)creates the configuration-dependent storage. On a
@@ -272,6 +283,7 @@ func (m *Machine) buildStructures(cfg Config) {
 	if len(m.fetchQ) != cfg.FetchQueue {
 		m.fetchQ = make([]fetched, cfg.FetchQueue)
 	}
+	m.oracle.resize(cfg.ROBSize)
 
 	m.aluPool = m.aluPool.reset(cfg.IntALUs)
 	m.lsPool = m.lsPool.reset(cfg.MemPorts)
@@ -317,6 +329,7 @@ func (m *Machine) resetRunState() {
 	m.lastFetchLine = ^uint32(0)
 	m.fetchHead, m.fetchCount = 0, 0
 	m.traceCursor = 0
+	m.oracle.rewind()
 	m.unresolved = 0
 	m.serialize = -1
 
@@ -394,9 +407,10 @@ func (m *Machine) ExitCode() int { return m.exitCode }
 // Halted reports whether the simulated program has finished.
 func (m *Machine) Halted() bool { return m.halted }
 
-// Oracle exposes the functional trace (for the harness's spurious-squash
-// classification and for tests).
-func (m *Machine) Oracle() *emu.TraceLog { return m.oracle }
+// OracleHalted reports whether the correct path the machine follows ends
+// at program halt, rather than at New's instruction cap or at the end of a
+// restored interval's trace. Meaningful once the machine has halted.
+func (m *Machine) OracleHalted() bool { return m.oracle.endedAtHalt() }
 
 // Cycle returns the current machine cycle.
 func (m *Machine) Cycle() uint64 { return m.cycle }

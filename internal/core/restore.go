@@ -37,10 +37,11 @@ type RestoreState struct {
 
 // ResetTo rewinds the machine onto a checkpoint: a Reset under cfg, but
 // with the architectural state, memory image and warm predictor state taken
-// from st and the correct-path oracle replaced by the interval's trace
-// (typically re-collected functionally from the same checkpoint). The
-// machine then simulates the interval in detail and halts when the oracle
-// is exhausted, exactly as a full run halts at program end.
+// from st and the correct-path oracle served from the interval's trace
+// (typically re-collected functionally from the same checkpoint) instead of
+// the machine's emulator, which is dropped. The machine then simulates the
+// interval in detail and halts when the trace is exhausted, exactly as a
+// full run halts at program end.
 //
 // The Reset determinism contract extends here: ResetTo with the same
 // (cfg, st, oracle) produces bit-identical Stats on any machine built for
@@ -49,15 +50,16 @@ func (m *Machine) ResetTo(cfg Config, st *RestoreState, oracle *emu.TraceLog) er
 	if oracle.Len() == 0 {
 		return fmt.Errorf("core: empty interval oracle")
 	}
-	if err := m.Reset(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	m.oracle = oracle
+	m.reset(cfg)
+	m.oracle.serve(oracle)
 	return m.applyRestore(st)
 }
 
-// NewRestored builds a machine directly on a checkpoint, skipping New's
-// functional pre-run: the caller supplies the interval oracle.
+// NewRestored builds a machine directly on a checkpoint. It has no
+// emulator: the caller supplies the interval oracle.
 func NewRestored(p *prog.Program, cfg Config, st *RestoreState, oracle *emu.TraceLog) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -70,8 +72,8 @@ func NewRestored(p *prog.Program, cfg Config, st *RestoreState, oracle *emu.Trac
 		prog:    p,
 		decoded: p.Decoded(),
 		mem:     mem.NewMemory(),
-		oracle:  oracle,
 	}
+	m.oracle.serve(oracle)
 	m.buildStructures(cfg)
 	m.resetRunState()
 	if err := m.applyRestore(st); err != nil {

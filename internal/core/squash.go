@@ -64,16 +64,14 @@ func (m *Machine) squashAfter(idx int32, e *robEntry) {
 	m.fetchRedirected = true
 	e.curPath = e.actualNext
 
-	// Correct-path trace cursor repair.
-	switch {
-	case e.traceIdx < 0:
+	// Correct-path trace cursor repair. Past the end of the correct path
+	// the cursor still moves on: decode finds no entry there.
+	if e.traceIdx < 0 {
 		m.traceCursor = -2 // still on a wrong path
-	case e.traceIdx+1 >= int64(m.oracle.Len()):
-		m.traceCursor = int64(m.oracle.Len()) // past the end of the trace
-	case m.oracle.PC[e.traceIdx+1] == e.actualNext:
-		m.traceCursor = e.traceIdx + 1
-	default:
+	} else if o, ok := m.oracle.at(e.traceIdx + 1); ok && o.pc != e.actualNext {
 		m.traceCursor = -2 // spurious redirect: the new path is wrong
+	} else {
+		m.traceCursor = e.traceIdx + 1
 	}
 }
 

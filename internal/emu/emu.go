@@ -69,8 +69,26 @@ func New(p *prog.Program) *CPU {
 	return c
 }
 
+// Reset rewinds the CPU to the state New produced for its program, reusing
+// the memory pages the previous run faulted in.
+func (c *CPU) Reset() {
+	c.Mem.Reset()
+	c.Mem.LoadProgram(c.prog)
+	c.Regs = [isa.NumArchRegs]isa.Word{}
+	c.Regs[isa.RegSP] = isa.Word(prog.StackTop)
+	c.PC = c.prog.Entry
+	c.Halted = false
+	c.ExitCode = 0
+	c.Output.Reset()
+	c.InstCount = 0
+}
+
 // Program returns the loaded program.
 func (c *CPU) Program() *prog.Program { return c.prog }
+
+// Last describes the most recently retired instruction. It is overwritten
+// by the next Step, so callers copy what they keep, as with TraceFn.
+func (c *CPU) Last() *Trace { return &c.trace }
 
 // InstAt returns the decoded instruction at pc, or nil if pc is outside the
 // text segment.

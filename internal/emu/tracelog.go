@@ -4,9 +4,10 @@ import (
 	"github.com/vpir-sim/vpir/internal/isa"
 )
 
-// TraceLog is a compact columnar record of a program's correct-path
-// execution, produced by the functional emulator. The timing core uses it
-// for three things:
+// TraceLog is a compact columnar record of a stretch of correct-path
+// execution, produced by the functional emulator. Sampled simulation
+// collects one per detailed interval and hands it to the timing core, which
+// reads it exactly as it reads its own execution-driven oracle:
 //
 //   - the VP_Magic oracle selection policy (§4.1.1 of the paper) needs the
 //     correct result of an instruction at prediction time;
@@ -20,55 +21,32 @@ type TraceLog struct {
 	Addr   []uint32   // effective address for memory ops
 	Taken  []bool     // direction for control ops
 
-	Output   string
-	ExitCode int
-	Halted   bool
+	Halted bool // the program halted within the log
 }
 
 // Len returns the number of retired instructions in the log.
 func (l *TraceLog) Len() int { return len(l.PC) }
 
 // CollectTrace runs the program functionally for at most maxInsts
-// instructions (0 = until halt) and returns the execution log.
+// instructions (0 = until halt) and returns the execution log, whose
+// columns are sized for maxInsts up front.
 func CollectTrace(c *CPU, maxInsts uint64) (*TraceLog, error) {
-	log := &TraceLog{}
-	// Pre-size for the capped case; otherwise start at 64 K entries and
-	// double all four columns in lockstep. Doubling by hand matters for
-	// long uncapped runs: the runtime grows large slices by only 1.25x,
-	// which roughly doubles the total bytes copied across the run, and the
-	// columns stay capacity-synchronized (one length check per retirement).
-	capHint := int(maxInsts)
-	if capHint == 0 {
-		capHint = 1 << 16
+	log := &TraceLog{
+		PC:     make([]uint32, 0, maxInsts),
+		Result: make([]isa.Word, 0, maxInsts),
+		Addr:   make([]uint32, 0, maxInsts),
+		Taken:  make([]bool, 0, maxInsts),
 	}
-	log.PC = make([]uint32, 0, capHint)
-	log.Result = make([]isa.Word, 0, capHint)
-	log.Addr = make([]uint32, 0, capHint)
-	log.Taken = make([]bool, 0, capHint)
-	prev := c.TraceFn
-	c.TraceFn = func(t *Trace) {
-		if len(log.PC) == cap(log.PC) {
-			n := 2 * cap(log.PC)
-			log.PC = append(make([]uint32, 0, n), log.PC...)
-			log.Result = append(make([]isa.Word, 0, n), log.Result...)
-			log.Addr = append(make([]uint32, 0, n), log.Addr...)
-			log.Taken = append(make([]bool, 0, n), log.Taken...)
+	for !c.Halted && (maxInsts == 0 || uint64(log.Len()) < maxInsts) {
+		if err := c.Step(); err != nil {
+			return nil, err
 		}
+		t := &c.trace
 		log.PC = append(log.PC, t.PC)
 		log.Result = append(log.Result, t.DestVal)
 		log.Addr = append(log.Addr, t.Addr)
 		log.Taken = append(log.Taken, t.Taken)
-		if prev != nil {
-			prev(t)
-		}
 	}
-	halted, err := c.Run(maxInsts)
-	c.TraceFn = prev
-	if err != nil {
-		return nil, err
-	}
-	log.Output = c.Output.String()
-	log.ExitCode = c.ExitCode
-	log.Halted = halted
+	log.Halted = c.Halted
 	return log, nil
 }

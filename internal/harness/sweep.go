@@ -77,9 +77,9 @@ func (r *Runner) workers() int {
 // indexed exactly like cells — the result order is deterministic no matter
 // how the work was scheduled. Each worker owns a private set of machines,
 // one per benchmark, that it rewinds with Machine.Reset between
-// configurations instead of paying core.New's functional pre-run again;
-// Machine.Reset's determinism contract is what makes the parallel sweep
-// bit-identical to a serial one.
+// configurations instead of building a new one; Machine.Reset's
+// determinism contract is what makes the parallel sweep bit-identical to a
+// serial one.
 //
 // Cancelling ctx stops the sweep promptly: cells not yet started complete
 // with ctx's error, cells in flight observe the cancellation at their next

@@ -45,7 +45,7 @@ func DriveInterval(ctx context.Context, m *core.Machine, ck *Checkpoint, warm ui
 	// The machine halts either because the interval's oracle ran out or
 	// because the program genuinely ended inside the interval; the oracle
 	// records which.
-	iv.Halted = m.Oracle().Halted
+	iv.Halted = m.OracleHalted()
 	return iv, nil
 }
 

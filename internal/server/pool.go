@@ -11,10 +11,14 @@ import (
 	"github.com/vpir-sim/vpir/internal/workload"
 )
 
-// machineCap bounds how many reusable machines one worker keeps. Each
-// machine pins its program's full oracle trace, so an unbounded pool would
-// grow with every distinct (bench, scale, max_insts) the server ever saw;
-// past the cap an arbitrary machine is dropped and rebuilt on next use.
+// machineCap bounds how many reusable machines one worker keeps. A machine
+// holds its predictor, cache, VPT and reuse-buffer tables and two sparse
+// memory images (the timing core's and its functional emulator's): 0.2 MB
+// for base up to 2.5 MB for the hybrid techniques, measured after running
+// each kernel at scale 1 to halt. An unbounded pool would still grow with
+// every distinct (bench, scale, max_insts) the server ever saw; the cap
+// holds a worker to about 20 MB. Past it an arbitrary machine is dropped
+// and rebuilt on next use.
 const machineCap = 8
 
 // poolJob is one /v1/run or /v1/trace simulation queued for a pool worker.
@@ -58,8 +62,8 @@ type poolResult struct {
 // pool is the bounded worker pool behind POST /v1/run. Each worker owns a
 // private set of machines it rewinds with Machine.Reset between requests
 // (the same reuse model as the harness sweep engine), so steady-state
-// traffic over a working set of benchmarks pays core.New's functional
-// pre-run only once per (worker, benchmark).
+// traffic over a working set of benchmarks pays program assembly and
+// machine construction only once per (worker, benchmark).
 type pool struct {
 	jobs chan *poolJob
 	wg   sync.WaitGroup

@@ -28,14 +28,16 @@ test-race:
 	$(GO) test -race ./...
 
 # Explicit race gate for the concurrency-heavy packages: the core machinery
-# that sweep workers reuse (Machine.Reset), the parallel sweep engine, the
-# parallel fault campaign, and the HTTP simulation server (whose load test
-# hammers the cache/singleflight/drain paths from many goroutines). A
+# that sweep workers reuse (Machine.Reset), the per-worker machine set
+# (internal/cell) that sweep, server and campaign workers share, the
+# parallel sweep engine, the parallel fault campaign, and the HTTP
+# simulation server (whose load test hammers the cache/singleflight/drain
+# paths from many goroutines). A
 # subset of test-race, listed separately so the pre-commit gate names the
 # concurrency coverage; Go's test cache makes running both nearly free.
 test-race-hot:
-	$(GO) vet ./internal/core/ ./internal/harness/ ./internal/faultinject/ ./internal/server/ ./internal/coord/
-	$(GO) test -race ./internal/core/ ./internal/harness/ ./internal/faultinject/ ./internal/server/ ./internal/coord/
+	$(GO) vet ./internal/core/ ./internal/cell/ ./internal/harness/ ./internal/faultinject/ ./internal/server/ ./internal/coord/
+	$(GO) test -race ./internal/core/ ./internal/cell/ ./internal/harness/ ./internal/faultinject/ ./internal/server/ ./internal/coord/
 
 # Quick loop: skips the long fault-injection and full-kernel paths.
 test-short:

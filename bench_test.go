@@ -313,7 +313,6 @@ func BenchmarkSampledSpeedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := harness.NewRunner()
 		r.Scale = 64
-		r.Parallel = true
 		r.Parallelism = 8
 		sum, err := r.RunSampled(context.Background(), "gcc", cfg, plan)
 		if err != nil {

@@ -75,8 +75,10 @@ func run() int {
 	r := harness.NewRunner()
 	r.Scale = *scale
 	r.MaxInsts = *maxInsts
-	r.Parallel = !*serial && *parallel != 1
 	r.Parallelism = *parallel
+	if *serial {
+		r.Parallelism = 1
+	}
 	if *metricsDir != "" {
 		r.Obs = &harness.ObsExport{Dir: *metricsDir, Interval: *interval, Events: true}
 	}

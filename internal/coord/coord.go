@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/vpir-sim/vpir/internal/cell"
 	"github.com/vpir-sim/vpir/internal/core"
 	"github.com/vpir-sim/vpir/internal/obs"
 	"github.com/vpir-sim/vpir/internal/resultstore"
@@ -199,14 +200,15 @@ func (c *Coordinator) Metrics() *obs.Shared { return c.metrics }
 type cellTask struct {
 	index      int
 	spec       server.SweepCellSpec
-	key        string // bench|scale|max_insts|Config.Key — routing + store identity
+	id         cell.ID
+	key        string // id.Key(): the rendezvous routing key
 	wantConfig string // cfg.Name(): transport-corruption guard
 	hedged     bool   // guarded by sweepRun.mu
 }
 
 // storeKey namespaces coordinator entries so a store directory can be
 // shared with a server's /v1/run entries (different body format).
-func (t *cellTask) storeKey() string { return "cell|" + t.key }
+func (t *cellTask) storeKey() string { return t.id.CoordKey() }
 
 // sweepRun is the merge state of one distributed sweep: lines fill in as
 // cells resolve (in any order, from any path — stream, hedge, retry,
@@ -302,17 +304,10 @@ func (c *Coordinator) newRun(ctx context.Context, specs []server.SweepCellSpec, 
 		lines:    make([]server.SweepLine, len(specs)),
 	}
 	for i := range specs {
+		// The same cell identity the server caches and stores by.
+		id := specs[i].ID(scale, maxInsts, cfgs[i])
 		run.ready[i] = make(chan struct{})
-		run.tasks[i] = &cellTask{
-			index: i,
-			spec:  specs[i],
-			// Sampled cells extend the key with the plan (and interval
-			// index), exactly like the server's cache keys: non-sampled keys
-			// — and the store entries addressed through them — stay
-			// byte-identical to before sampling existed.
-			key:        fmt.Sprintf("%s|%d|%d|%s%s", specs[i].Bench, scale, maxInsts, cfgs[i].Key(), specs[i].Sample.KeySuffix()),
-			wantConfig: cfgs[i].Name(),
-		}
+		run.tasks[i] = &cellTask{index: i, spec: specs[i], id: id, key: id.Key(), wantConfig: cfgs[i].Name()}
 	}
 	c.metrics.Add("coord.cells.total", uint64(len(specs)))
 	for _, t := range run.tasks {

@@ -3,6 +3,7 @@ package core
 import (
 	"github.com/vpir-sim/vpir/internal/emu"
 	"github.com/vpir-sim/vpir/internal/isa"
+	"github.com/vpir-sim/vpir/internal/reuse"
 )
 
 // fuFor maps a functional-unit class to its pool.
@@ -141,6 +142,7 @@ func (m *Machine) issueALU(idx int32, e *robEntry) issueOutcome {
 	m.beginExec(idx, e)
 
 	s1, s2 := e.srcVal[0], e.srcVal[1]
+	var value isa.Word
 	switch {
 	case e.in.Op.IsCondBranch():
 		e.pendTaken = emu.BranchTaken(e.in.Op, s1, s2)
@@ -149,17 +151,15 @@ func (m *Machine) issueALU(idx int32, e *robEntry) issueOutcome {
 		} else {
 			e.pendNext = e.pc + 4
 		}
-		e.pendResult = 0
-		if e.pendTaken {
-			e.pendResult = 1
-		}
 	case e.in.Op == isa.OpJR || e.in.Op == isa.OpJALR:
 		e.pendTaken = true
 		e.pendNext = uint32(s1)
-		e.pendResult = s1 // buffered result for indirect jumps is the target
 	default:
-		e.pendResult = emu.ALUResult(e.in, s1, s2, e.pc)
+		value = emu.ALUResult(e.in, s1, s2, e.pc)
 	}
+	// pendResult is what the reuse buffer records; complete substitutes
+	// JALR's link for the register result.
+	e.pendResult, _ = reuse.Encode(e.in.Op, e.pendTaken, s1, value, 0)
 	m.schedule(uint64(timing.Latency), event{kind: evComplete, idx: idx, seq: e.seq})
 	return issuedOK
 }
@@ -176,8 +176,7 @@ func (m *Machine) issueStore(idx int32, e *robEntry) issueOutcome {
 		return issueWait
 	}
 	m.beginExec(idx, e)
-	e.pendAddr = emu.EffAddr(e.in, e.srcVal[0])
-	e.pendResult = 0
+	e.pendResult, e.pendAddr = reuse.Encode(e.in.Op, false, 0, 0, emu.EffAddr(e.in, e.srcVal[0]))
 	m.schedule(1, event{kind: evComplete, idx: idx, seq: e.seq})
 	return issuedOK
 }
@@ -228,18 +227,19 @@ func (m *Machine) issueLoad(idx int32, e *robEntry) issueOutcome {
 		agen = 0 // the address computation was bypassed
 	}
 	var lat uint64
+	var value isa.Word
 	if haveFwd {
 		lat = agen + 1
-		e.pendResult = extractLoad(e.in.Op, addr, fwd)
+		value = extractLoad(e.in.Op, addr, fwd)
 		e.pendForwarded = true
 	} else {
 		m.dcPortsUsed++
 		lat = agen + uint64(m.dcache.Access(addr))
-		e.pendResult = emu.LoadValue(m.mem, e.in.Op, addr)
+		value = emu.LoadValue(m.mem, e.in.Op, addr)
 		e.pendForwarded = false
 	}
 	m.beginExec(idx, e)
-	e.pendAddr = addr
+	e.pendResult, e.pendAddr = reuse.Encode(e.in.Op, false, 0, value, addr)
 	e.usedPredAddr = usedPred
 	m.schedule(lat, event{kind: evComplete, idx: idx, seq: e.seq})
 	return issuedOK

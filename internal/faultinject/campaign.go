@@ -7,10 +7,9 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/vpir-sim/vpir/internal/cell"
 	"github.com/vpir-sim/vpir/internal/core"
-	"github.com/vpir-sim/vpir/internal/prog"
 	"github.com/vpir-sim/vpir/internal/vp"
-	"github.com/vpir-sim/vpir/internal/workload"
 )
 
 // Outcome classifies one fault-injection run against its fault-free
@@ -131,100 +130,81 @@ type baseline struct {
 // returned error covers campaign setup problems only; per-run failures are
 // reported as outcomes.
 func (c Campaign) Run() ([]RunReport, error) {
-	progs := make(map[string]*prog.Program, len(c.Benches))
-	for _, bench := range c.Benches {
-		w, err := workload.Get(bench)
-		if err != nil {
-			return nil, err
-		}
-		p, err := w.Load(1)
-		if err != nil {
-			return nil, err
-		}
-		progs[bench] = p
-	}
-
-	type cell struct {
+	type cellJob struct {
 		bench string
 		kind  Kind
 	}
-	var cells []cell
+	var cells []cellJob
 	for _, bench := range c.Benches {
 		for _, kind := range c.Kinds {
-			cells = append(cells, cell{bench, kind})
+			cells = append(cells, cellJob{bench, kind})
 		}
+	}
+	id := func(bench string, k Kind) cell.ID {
+		return cell.ID{Bench: bench, Scale: 1, MaxInsts: c.MaxInsts, Cfg: configFor(k)}
 	}
 
 	// Phase 1: fault-free baselines, one per unique (bench, config) pair.
-	// They are keyed by configuration identity, not fault kind, so several
-	// kinds share one baseline run.
-	type baseJob struct {
-		bench string
-		cfg   core.Config
-	}
-	var baseJobs []baseJob
+	// They are keyed by cell identity, not fault kind, so several kinds
+	// share one baseline run.
+	var baseJobs []cell.ID
 	seen := map[string]bool{}
 	for _, cl := range cells {
-		cfg := configFor(cl.kind)
-		bkey := cl.bench + "|" + cfg.Key()
-		if !seen[bkey] {
-			seen[bkey] = true
-			baseJobs = append(baseJobs, baseJob{cl.bench, cfg})
+		bid := id(cl.bench, cl.kind)
+		if !seen[bid.Key()] {
+			seen[bid.Key()] = true
+			baseJobs = append(baseJobs, bid)
 		}
 	}
 	baselines := make(map[string]*baseline, len(baseJobs))
 	baseErrs := make([]error, len(baseJobs))
 	var mu sync.Mutex
-	c.forEachPar(len(baseJobs), func(i int, machines map[string]*core.Machine) {
+	c.forEachPar(len(baseJobs), func(i int, machines *cell.Machines) {
 		j := baseJobs[i]
-		m, err := campaignMachine(machines, progs[j.bench], j.bench, j.cfg, c.MaxInsts)
-		if err != nil {
-			baseErrs[i] = err
-			return
-		}
-		if err := m.Run(0); err != nil {
-			baseErrs[i] = fmt.Errorf("faultinject: baseline %s/%s: %w", j.bench, j.cfg.Name(), err)
-			return
-		}
-		mu.Lock()
-		baselines[j.bench+"|"+j.cfg.Key()] = &baseline{stats: m.Stats(), output: m.Output(), exit: m.ExitCode()}
-		mu.Unlock()
+		baseErrs[i] = machines.Plain(j, func(m *core.Machine) error {
+			if err := m.Run(0); err != nil {
+				return fmt.Errorf("faultinject: baseline %s/%s: %w", j.Bench, j.Cfg.Name(), err)
+			}
+			mu.Lock()
+			baselines[j.Key()] = &baseline{stats: m.Stats(), output: m.Output(), exit: m.ExitCode()}
+			mu.Unlock()
+			return nil
+		})
 	})
 	if err := errors.Join(baseErrs...); err != nil {
 		return nil, err
 	}
 
-	// Phase 2: injected runs, one per cell, reported in cell order.
+	// Phase 2: injected runs, one per cell, reported in cell order. A run
+	// that panics is dropped from its worker's set and reported as Failed.
 	reports := make([]RunReport, len(cells))
-	runErrs := make([]error, len(cells))
-	c.forEachPar(len(cells), func(i int, machines map[string]*core.Machine) {
+	c.forEachPar(len(cells), func(i int, machines *cell.Machines) {
 		cl := cells[i]
-		cfg := configFor(cl.kind)
-		base := baselines[cl.bench+"|"+cfg.Key()]
-		rep := RunReport{Bench: cl.bench, Config: cfg.Name(), Kind: cl.kind}
-		m, err := campaignMachine(machines, progs[cl.bench], cl.bench, cfg, c.MaxInsts)
-		if err != nil {
-			runErrs[i] = err
-			return
-		}
-		plan := NewPlan(runSeed(c.Seed, cl.bench, cl.kind), cl.kind, c.FaultsPerRun, base.stats.Cycles)
-		inj := Attach(m, plan)
-		runErr := m.Run(0)
-		rep.Injected, rep.Skipped = inj.Applied, inj.Skipped
-		rep.Log = inj.Log
+		rid := id(cl.bench, cl.kind)
+		base := baselines[rid.Key()]
+		rep := RunReport{Bench: cl.bench, Config: rid.Cfg.Name(), Kind: cl.kind}
+		var out baseline
+		runErr := machines.Plain(rid, func(m *core.Machine) error {
+			plan := NewPlan(runSeed(c.Seed, cl.bench, cl.kind), cl.kind, c.FaultsPerRun, base.stats.Cycles)
+			inj := Attach(m, plan)
+			err := m.Run(0)
+			rep.Injected, rep.Skipped = inj.Applied, inj.Skipped
+			rep.Log = inj.Log
+			out = baseline{stats: m.Stats(), output: m.Output(), exit: m.ExitCode()}
+			return err
+		})
 
 		switch {
 		case runErr == nil:
 			switch {
-			case m.Output() != base.output || m.ExitCode() != base.exit:
+			case out.output != base.output || out.exit != base.exit:
 				rep.Outcome = Failed
 				rep.Detail = "silent architectural divergence (output mismatch)"
-			case m.Stats() == base.stats:
+			case out.stats == base.stats:
 				rep.Outcome = Masked
 			default:
 				rep.Outcome = Benign
-				s := m.Stats()
-				rep.Detail = fmt.Sprintf("cycles %+d", int64(s.Cycles)-int64(base.stats.Cycles))
+				rep.Detail = fmt.Sprintf("cycles %+d", int64(out.stats.Cycles)-int64(base.stats.Cycles))
 			}
 		case core.IsDivergence(runErr):
 			se, _ := core.AsSimError(runErr)
@@ -245,44 +225,16 @@ func (c Campaign) Run() ([]RunReport, error) {
 		}
 		reports[i] = rep
 	})
-	if err := errors.Join(runErrs...); err != nil {
-		return nil, err
-	}
 	return reports, nil
 }
 
-// campaignMachine returns a run-ready machine for bench under cfg, reusing
-// the worker's pooled machine (rewound with Reset, which also detaches the
-// previous run's injector hooks) when one exists.
-func campaignMachine(machines map[string]*core.Machine, p *prog.Program, bench string, cfg core.Config, maxInsts uint64) (*core.Machine, error) {
-	if m := machines[bench]; m != nil {
-		if err := m.Reset(cfg); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-	m, err := core.New(p, cfg, maxInsts)
-	if err != nil {
-		return nil, err
-	}
-	machines[bench] = m
-	return m, nil
-}
-
-// forEachPar runs fn(0..total-1) on min(c.Parallel, total) workers (serial
-// when Parallel <= 1). Each worker owns a private machine pool passed to
-// every invocation.
-func (c Campaign) forEachPar(total int, fn func(i int, machines map[string]*core.Machine)) {
-	n := c.Parallel
-	if n > total {
-		n = total
-	}
-	if n <= 1 {
-		machines := map[string]*core.Machine{}
-		for i := 0; i < total; i++ {
-			fn(i, machines)
-		}
-		return
+// forEachPar runs fn(0..total-1) on max(1, min(c.Parallel, total)) workers;
+// one worker is the serial campaign. Each worker owns a cell.Machines set
+// passed to every invocation.
+func (c Campaign) forEachPar(total int, fn func(i int, machines *cell.Machines)) {
+	n := min(c.Parallel, total)
+	if n < 1 {
+		n = 1
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -290,7 +242,7 @@ func (c Campaign) forEachPar(total int, fn func(i int, machines map[string]*core
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			machines := map[string]*core.Machine{}
+			machines := cell.NewMachines()
 			for i := range jobs {
 				fn(i, machines)
 			}

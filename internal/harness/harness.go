@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/vpir-sim/vpir/internal/cell"
 	"github.com/vpir-sim/vpir/internal/core"
 	"github.com/vpir-sim/vpir/internal/redundancy"
 	"github.com/vpir-sim/vpir/internal/sample"
@@ -32,11 +33,9 @@ type Runner struct {
 	// MaxInsts caps the per-benchmark dynamic instruction count
 	// (0 = run each kernel to completion).
 	MaxInsts uint64
-	// Parallel runs benchmarks concurrently (per experiment). When false,
-	// sweeps are strictly serial regardless of Parallelism.
-	Parallel bool
-	// Parallelism is the sweep worker count (0 = GOMAXPROCS). Each worker
-	// keeps one reusable machine per benchmark (see Sweep).
+	// Parallelism is the sweep worker count (0 = GOMAXPROCS, 1 = strictly
+	// serial). Each worker keeps one reusable machine per benchmark (see
+	// Sweep).
 	Parallelism int
 	// Timeout bounds each simulation's wall-clock time (0 = unbounded).
 	// A run that exceeds it fails with context.DeadlineExceeded.
@@ -58,7 +57,7 @@ type Runner struct {
 	// Sample, when non-nil, switches every plain cell to checkpointed sampled
 	// simulation under this plan (see internal/sample): Run and RunAll return
 	// the stitched whole-program estimates instead of full-simulation stats.
-	// Cells that carry their own SampleSpec are unaffected.
+	// Cells that carry their own Sample are unaffected.
 	Sample *sample.Plan
 
 	mu    sync.Mutex
@@ -66,8 +65,8 @@ type Runner struct {
 	red   map[string]*redundancy.Result
 	ff    map[string]*ffEntry
 
-	// runHook, when non-nil, replaces the simulation in attempt; tests use
-	// it to inject failures, panics and transient errors.
+	// runHook, when non-nil, replaces driving the machine in attempt; tests
+	// use it to inject failures, panics and transient errors.
 	runHook func(bench string, cfg core.Config) (core.Stats, error)
 }
 
@@ -87,10 +86,9 @@ func IsTransient(err error) bool {
 // NewRunner builds a Runner with the standard scale.
 func NewRunner() *Runner {
 	return &Runner{
-		Scale:    1,
-		Parallel: true,
-		cache:    make(map[string]cellOutcome),
-		red:      make(map[string]*redundancy.Result),
+		Scale: 1,
+		cache: make(map[string]cellOutcome),
+		red:   make(map[string]*redundancy.Result),
 	}
 }
 
@@ -99,24 +97,8 @@ func NewRunner() *Runner {
 // not just its display name — ablation sweeps vary structure sizes under
 // the same name, and a sloppier key would silently alias their entries.
 func (r *Runner) Run(bench string, cfg core.Config) (core.Stats, error) {
-	out, _, err := r.runCell(context.Background(), SweepCell{Bench: bench, Cfg: cfg}, nil)
+	out, _, err := r.runCell(context.Background(), SweepCell{Bench: bench, Cfg: cfg}, cell.NewMachines())
 	return out.stats, err
-}
-
-// runMachine drives m to completion in bounded cycle slices so the context
-// deadline is observed; the machine's own watchdog separately bounds
-// no-progress livelock in simulated time.
-func runMachine(ctx context.Context, m *core.Machine) error {
-	const slice = 200_000 // cycles between deadline checks
-	for !m.Halted() {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("harness: %s at cycle %d: %w", m.Config().Name(), m.Cycle(), err)
-		}
-		if err := m.Run(slice); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RunAll simulates every benchmark under cfg, in the paper's order, on the
@@ -142,7 +124,7 @@ func (r *Runner) RunAll(cfg core.Config) (map[string]core.Stats, error) {
 
 // Redundancy runs the §4.3 limit study for one benchmark (cached).
 func (r *Runner) Redundancy(bench string) (*redundancy.Result, error) {
-	key := fmt.Sprintf("%s/%d/%d", bench, r.Scale, r.MaxInsts)
+	key := cell.ID{Bench: bench, Scale: r.Scale, MaxInsts: r.MaxInsts}.Key()
 	r.mu.Lock()
 	if res, ok := r.red[key]; ok {
 		r.mu.Unlock()

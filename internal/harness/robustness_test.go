@@ -15,10 +15,10 @@ import (
 // campaign — RunAll returns stats for every other benchmark plus a joined
 // error naming the failure.
 func TestRunAllPartialResults(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
+	for _, parallelism := range []int{1, 0} {
+		t.Run(fmt.Sprintf("parallel=%v", parallelism != 1), func(t *testing.T) {
 			r := fastRunner()
-			r.Parallel = parallel
+			r.Parallelism = parallelism
 			boom := errors.New("synthetic failure")
 			r.runHook = func(bench string, cfg core.Config) (core.Stats, error) {
 				if bench == "perl" {

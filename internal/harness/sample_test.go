@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/vpir-sim/vpir/internal/cell"
 	"github.com/vpir-sim/vpir/internal/core"
 	"github.com/vpir-sim/vpir/internal/sample"
 )
@@ -41,7 +42,7 @@ func TestRunSampledParallelDeterminism(t *testing.T) {
 
 	serial := NewRunner()
 	serial.MaxInsts = 36_000
-	serial.Parallel = false
+	serial.Parallelism = 1
 	s1, err := serial.RunSampled(context.Background(), "go", cfg, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -140,15 +141,20 @@ func TestSweepAttemptsAudit(t *testing.T) {
 func TestSampledCellsDoNotAliasPlainCells(t *testing.T) {
 	r := NewRunner()
 	cfg := core.DefaultConfig()
-	plain := r.cellKey("compress", cfg, nil)
-	whole := r.cellKey("compress", cfg, &SampleSpec{Plan: sample.Plan{Interval: 100}, Index: WholeProgram})
-	iv0 := r.cellKey("compress", cfg, &SampleSpec{Plan: sample.Plan{Interval: 100}, Index: 0})
-	iv1 := r.cellKey("compress", cfg, &SampleSpec{Plan: sample.Plan{Interval: 100}, Index: 1})
+	key := func(spec *cell.Sample) string {
+		return r.cellID(SweepCell{Bench: "compress", Cfg: cfg, Sample: spec}).Key()
+	}
+	plain := key(nil)
+	whole := key(&cell.Sample{Plan: sample.Plan{Interval: 100}, Index: cell.WholeProgram})
+	iv0 := key(&cell.Sample{Plan: sample.Plan{Interval: 100}, Index: 0})
+	iv1 := key(&cell.Sample{Plan: sample.Plan{Interval: 100}, Index: 1})
 	keys := map[string]bool{plain: true, whole: true, iv0: true, iv1: true}
 	if len(keys) != 4 {
 		t.Fatalf("cache keys alias: %q %q %q %q", plain, whole, iv0, iv1)
 	}
-	if plain != fmt.Sprintf("compress|%s|%d|%d", cfg.Key(), r.Scale, r.MaxInsts) {
+	// The Runner cache keys cells exactly as the server and the durable
+	// store do (cell.ID.Key).
+	if plain != fmt.Sprintf("compress|%d|%d|%s", r.Scale, r.MaxInsts, cfg.Key()) {
 		t.Fatalf("plain key changed format: %q", plain)
 	}
 }

@@ -2,13 +2,13 @@ package harness
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 
+	"github.com/vpir-sim/vpir/internal/cell"
 	"github.com/vpir-sim/vpir/internal/core"
+	"github.com/vpir-sim/vpir/internal/prog"
 	"github.com/vpir-sim/vpir/internal/sample"
-	"github.com/vpir-sim/vpir/internal/workload"
 )
 
 // SweepCell names one simulation in a sweep: a (benchmark, configuration)
@@ -19,10 +19,10 @@ type SweepCell struct {
 	Cfg   core.Config
 	// Sample, when non-nil, makes this a sampled cell: Index ≥ 0 simulates
 	// one interval of the plan (the unit of parallel fan-out), Index ==
-	// WholeProgram runs the full plan serially inside the cell. Nil cells are
-	// plain full-program simulations — unless Runner.Sample is set, which
-	// samples them transparently.
-	Sample *SampleSpec
+	// cell.WholeProgram runs the full plan serially inside the cell. Nil
+	// cells are plain full-program simulations — unless Runner.Sample is
+	// set, which samples them transparently.
+	Sample *cell.Sample
 }
 
 // SweepResult is the outcome of one cell. Exactly one of Stats/Err is
@@ -36,7 +36,7 @@ type SweepResult struct {
 	// cells (Sample.Index ≥ 0); nil otherwise.
 	Interval *sample.IntervalResult
 	// Summary carries the stitched summary of a whole-plan sampled cell
-	// (Sample.Index == WholeProgram, or a plain cell under Runner.Sample);
+	// (Sample.Index == cell.WholeProgram, or a plain cell under Runner.Sample);
 	// nil otherwise.
 	Summary *sample.Summary
 	// Attempts records which attempt produced this result: 0 for a cache
@@ -60,13 +60,9 @@ func Grid(benches []string, cfgs []core.Config) []SweepCell {
 	return cells
 }
 
-// workers resolves the Runner's parallelism: Parallel=false pins the sweep
-// to one worker (strictly serial, in cell order); otherwise Parallelism
-// sets the worker count, defaulting to GOMAXPROCS.
+// workers resolves the sweep worker count: Parallelism, defaulting to
+// GOMAXPROCS. Parallelism 1 is strictly serial, in cell order.
 func (r *Runner) workers() int {
-	if !r.Parallel {
-		return 1
-	}
 	if r.Parallelism > 0 {
 		return r.Parallelism
 	}
@@ -75,8 +71,8 @@ func (r *Runner) workers() int {
 
 // Sweep simulates every cell on a pool of workers and returns the results
 // indexed exactly like cells — the result order is deterministic no matter
-// how the work was scheduled. Each worker owns a private set of machines,
-// one per benchmark, that it rewinds with Machine.Reset between
+// how the work was scheduled. Each worker owns a private cell.Machines set,
+// one machine per benchmark, that it rewinds with Machine.Reset between
 // configurations instead of building a new one; Machine.Reset's
 // determinism contract is what makes the parallel sweep bit-identical to a
 // serial one.
@@ -103,7 +99,7 @@ func (r *Runner) Sweep(ctx context.Context, cells []SweepCell) []SweepResult {
 			// machines is worker-private (no locking) and lives for the
 			// whole sweep, so a benchmark's machine is rebuilt at most once
 			// per worker regardless of how many configurations it runs.
-			machines := make(map[string]*core.Machine)
+			machines := cell.NewMachines()
 			for i := range jobs {
 				c := cells[i]
 				res := SweepResult{Bench: c.Bench, Cfg: c.Cfg}
@@ -138,29 +134,23 @@ type cellOutcome struct {
 	summary  *sample.Summary
 }
 
-// cellKey builds the cache key for a cell. Non-sampled keys are byte-for-byte
-// what they were before sampling existed, so persisted caches keyed on them
-// stay valid; sampled cells append the plan key and interval index, so
-// sampled and non-sampled results can never alias.
-func (r *Runner) cellKey(bench string, cfg core.Config, spec *SampleSpec) string {
-	key := fmt.Sprintf("%s|%s|%d|%d", bench, cfg.Key(), r.Scale, r.MaxInsts)
-	if spec != nil {
-		key = fmt.Sprintf("%s|%s|k%d", key, spec.Plan.Key(), spec.Index)
+// cellID is the full identity of a cell under this Runner. A plain cell
+// under a sampling Runner becomes a whole-plan sampled cell (transparent
+// sampling).
+func (r *Runner) cellID(c SweepCell) cell.ID {
+	spec := c.Sample
+	if spec == nil && r.Sample != nil {
+		spec = &cell.Sample{Plan: *r.Sample, Index: cell.WholeProgram}
 	}
-	return key
+	return cell.ID{Bench: c.Bench, Scale: r.Scale, MaxInsts: r.MaxInsts, Cfg: c.Cfg, Sample: spec}
 }
 
 // runCell is the cached, retrying simulation shared by Run, RunSampled and
 // Sweep. The returned attempt count is 0 for a cache hit and otherwise the
 // 1-based attempt that produced the result.
-func (r *Runner) runCell(ctx context.Context, c SweepCell, machines map[string]*core.Machine) (cellOutcome, int, error) {
-	spec := c.Sample
-	if spec == nil && r.Sample != nil {
-		// Transparent sampling: a plain cell under a sampling Runner becomes
-		// a whole-plan sampled run.
-		spec = &SampleSpec{Plan: *r.Sample, Index: WholeProgram}
-	}
-	key := r.cellKey(c.Bench, c.Cfg, spec)
+func (r *Runner) runCell(ctx context.Context, c SweepCell, machines *cell.Machines) (cellOutcome, int, error) {
+	id := r.cellID(c)
+	key := id.Key()
 	r.mu.Lock()
 	if out, ok := r.cache[key]; ok {
 		r.mu.Unlock()
@@ -169,10 +159,10 @@ func (r *Runner) runCell(ctx context.Context, c SweepCell, machines map[string]*
 	r.mu.Unlock()
 
 	attempts := 1
-	out, err := r.attemptCell(ctx, c.Bench, c.Cfg, spec, machines)
+	out, err := r.attemptCell(ctx, id, machines)
 	for err != nil && IsTransient(err) && attempts <= r.Retries {
 		attempts++
-		out, err = r.attemptCell(ctx, c.Bench, c.Cfg, spec, machines)
+		out, err = r.attemptCell(ctx, id, machines)
 	}
 	if err != nil {
 		return cellOutcome{}, attempts, err
@@ -183,73 +173,59 @@ func (r *Runner) runCell(ctx context.Context, c SweepCell, machines map[string]*
 	return out, attempts, nil
 }
 
-// attemptCell dispatches one attempt to the cell's simulation mode.
-func (r *Runner) attemptCell(ctx context.Context, bench string, cfg core.Config, spec *SampleSpec, machines map[string]*core.Machine) (cellOutcome, error) {
-	switch {
-	case spec == nil:
-		s, err := r.attempt(ctx, bench, cfg, machines)
-		return cellOutcome{stats: s}, err
-	case spec.Index == WholeProgram:
-		return r.attemptWholeSampled(ctx, bench, cfg, spec, machines)
-	default:
-		return r.attemptInterval(ctx, bench, cfg, spec, machines)
-	}
-}
-
-// attempt performs one simulation, reusing (and on success keeping) a
-// machine from the worker's pool. Panics are converted to errors so a bad
-// run cannot take down a whole campaign, and the machine that panicked is
-// dropped from the pool — its state is unknown mid-update, and the reset
-// determinism contract only covers machines whose Run returned normally.
-func (r *Runner) attempt(ctx context.Context, bench string, cfg core.Config, machines map[string]*core.Machine) (s core.Stats, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			delete(machines, bench)
-			err = fmt.Errorf("harness: panic simulating %s under %s: %v", bench, cfg.Name(), p)
+// attemptCell dispatches one attempt to the cell's simulation mode. The
+// Runner's Timeout bounds the detailed simulation; a sampled cell's shared
+// fast-forward pass runs before the clock starts.
+func (r *Runner) attemptCell(ctx context.Context, id cell.ID, machines *cell.Machines) (cellOutcome, error) {
+	var p *prog.Program
+	var ff *sample.FFResult
+	if id.Sample != nil {
+		var err error
+		if p, ff, err = r.fastForward(id); err != nil {
+			return cellOutcome{}, err
 		}
-	}()
-	if r.runHook != nil {
-		return r.runHook(bench, cfg)
-	}
-	m := machines[bench]
-	if m != nil {
-		if err := m.Reset(cfg); err != nil {
-			return core.Stats{}, err
-		}
-	} else {
-		w, err := workload.Get(bench)
-		if err != nil {
-			return core.Stats{}, err
-		}
-		p, err := w.Load(r.Scale)
-		if err != nil {
-			return core.Stats{}, err
-		}
-		m, err = core.New(p, cfg, r.MaxInsts)
-		if err != nil {
-			return core.Stats{}, err
-		}
-		if machines != nil {
-			machines[bench] = m
-		}
-	}
-	var obs *core.Observer
-	if r.Obs != nil {
-		obs = core.NewObserver(r.Obs.Interval, r.Obs.EventCap)
-		m.AttachObserver(obs)
 	}
 	if r.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.Timeout)
 		defer cancel()
 	}
-	if err := runMachine(ctx, m); err != nil {
-		return core.Stats{}, err
+	switch {
+	case id.Sample == nil:
+		s, err := r.attempt(ctx, id, machines)
+		return cellOutcome{stats: s}, err
+	case id.Sample.Index == cell.WholeProgram:
+		return r.attemptWholeSampled(ctx, id, p, ff, machines)
+	default:
+		iv, err := r.runInterval(ctx, id, p, ff, id.Sample.Index, machines)
+		return cellOutcome{stats: iv.Stats, interval: &iv}, err
 	}
-	if r.Obs != nil {
-		if err := r.Obs.export(bench, cfg, obs); err != nil {
-			return core.Stats{}, err
+}
+
+// attempt performs one full-program simulation on the worker's machine for
+// the cell's program (see cell.Machines for reuse and panic recovery).
+func (r *Runner) attempt(ctx context.Context, id cell.ID, machines *cell.Machines) (s core.Stats, err error) {
+	err = machines.Plain(id, func(m *core.Machine) error {
+		if r.runHook != nil {
+			var err error
+			s, err = r.runHook(id.Bench, id.Cfg)
+			return err
 		}
-	}
-	return m.Stats(), nil
+		var obs *core.Observer
+		if r.Obs != nil {
+			obs = core.NewObserver(r.Obs.Interval, r.Obs.EventCap)
+			m.AttachObserver(obs)
+		}
+		if err := cell.Drive(ctx, m); err != nil {
+			return err
+		}
+		if r.Obs != nil {
+			if err := r.Obs.export(id.Bench, id.Cfg, obs); err != nil {
+				return err
+			}
+		}
+		s = m.Stats()
+		return nil
+	})
+	return s, err
 }

@@ -330,6 +330,31 @@ func (b *Buffer) nextTick() uint64 {
 	return b.tick
 }
 
+// Encode returns the result and address an execution of op buffers, given
+// its branch outcome, first operand value, destination value and effective
+// address: a conditional branch buffers its outcome (1 taken, 0 not), an
+// indirect jump its target (the first operand, not the link), a store its
+// address alone, a load its value and address, and every other op its
+// destination value. The timing core and functional warming both encode
+// through here, which is what keeps a warmed buffer bit-identical to one
+// the core filled.
+func Encode(op isa.Op, taken bool, src1, dest isa.Word, addr uint32) (isa.Word, uint32) {
+	switch {
+	case op.IsCondBranch():
+		if taken {
+			return 1, 0
+		}
+		return 0, 0
+	case op == isa.OpJR || op == isa.OpJALR:
+		return src1, 0
+	case op.IsStore():
+		return 0, addr
+	case op.IsLoad():
+		return dest, addr
+	}
+	return dest, 0
+}
+
 // Insert records a completed execution in the buffer and returns a link to
 // the entry (for consumers' dependence pointers). If an identical instance
 // (same pc, op and operand values) exists it is refreshed in place.

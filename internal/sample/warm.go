@@ -23,15 +23,14 @@ import (
 //   - D-cache: one access per memory op;
 //   - VPT/VPA: Train with the actual result/address (no prediction made,
 //     so no confidence penalty);
-//   - RB: Insert with the same buffered-result encoding the timing core's
-//     issue stage produces, and InvalidateStores on every store.
+//   - RB: Insert with the buffered-result encoding of reuse.Encode, the
+//     one the timing core's issue stage uses, and InvalidateStores on every
+//     store.
 //
-// The RB encodings are correctness-critical, not just fidelity: a reuse hit
+// The RB encoding is correctness-critical, not just fidelity: a reuse hit
 // skips execution unguarded, so a warm entry whose result deviates from what
 // the timing core would have buffered diverges the architectural state at
-// commit. The encodings (conditional branch → taken flag, JR/JALR → jump
-// target, store → address only, load → loaded value, everything else → ALU
-// result) mirror internal/core's issue stage field for field.
+// commit. Sharing one encoder rules that out by construction.
 type warmer struct {
 	bp       *bpred.Predictor
 	ic, dc   *mem.Cache
@@ -104,22 +103,7 @@ func (w *warmer) observe(t *emu.Trace) {
 	}
 
 	if w.rb != nil {
-		var result isa.Word
-		var addr uint32
-		switch {
-		case op.IsCondBranch():
-			if t.Taken {
-				result = 1
-			}
-		case op == isa.OpJR || op == isa.OpJALR:
-			result = t.Src1Val // buffered result is the jump target, not the link
-		case op.IsStore():
-			addr = t.Addr // address-only entry
-		case op.IsLoad():
-			result, addr = t.DestVal, t.Addr
-		default:
-			result = t.DestVal
-		}
+		result, addr := reuse.Encode(op, t.Taken, t.Src1Val, t.DestVal, t.Addr)
 		// Insert rejects serializing ops and OpJ itself; dependence links are
 		// a timing-window notion and stay absent under functional warming.
 		w.rb.Insert(pc, in, t.Src1Val, t.Src2Val, result, addr, reuse.NoLink, reuse.NoLink, false, false)

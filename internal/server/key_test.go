@@ -2,9 +2,10 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"testing"
+
+	"github.com/vpir-sim/vpir/internal/cell"
 )
 
 // optionVariants enumerates, per SimOptions field, values that must map to
@@ -96,13 +97,12 @@ func TestCellIdentityKeyShape(t *testing.T) {
 	}
 }
 
-// cacheKey mirrors the identity spelling in handleRun and the
-// coordinator's cellTask: bench|scale|max_insts|Config.Key.
+// cacheKey is the identity handleRun and the coordinator's cellTask key by.
 func cacheKey(t *testing.T, bench string, scale int, maxInsts uint64, o SimOptions) string {
 	t.Helper()
 	cfg, err := o.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%s|%d|%d|%s", bench, scale, maxInsts, cfg.Key())
+	return cell.ID{Bench: bench, Scale: scale, MaxInsts: maxInsts, Cfg: cfg}.Key()
 }

@@ -4,32 +4,18 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-
 	"sync"
 
+	"github.com/vpir-sim/vpir/internal/cell"
 	"github.com/vpir-sim/vpir/internal/core"
-	"github.com/vpir-sim/vpir/internal/workload"
 )
-
-// machineCap bounds how many reusable machines one worker keeps. A machine
-// holds its predictor, cache, VPT and reuse-buffer tables and two sparse
-// memory images (the timing core's and its functional emulator's): 0.2 MB
-// for base up to 2.5 MB for the hybrid techniques, measured after running
-// each kernel at scale 1 to halt. An unbounded pool would still grow with
-// every distinct (bench, scale, max_insts) the server ever saw; the cap
-// holds a worker to about 20 MB. Past it an arbitrary machine is dropped
-// and rebuilt on next use.
-const machineCap = 8
 
 // poolJob is one /v1/run or /v1/trace simulation queued for a pool worker.
 type poolJob struct {
-	ctx      context.Context
-	bench    string
-	scale    int
-	maxInsts uint64
-	cfg      core.Config
-	trace    *traceParams // non-nil for /v1/trace: capture obs + pipetrace
-	reply    chan poolResult
+	ctx   context.Context
+	id    cell.ID
+	trace *traceParams // non-nil for /v1/trace: capture obs + pipetrace
+	reply chan poolResult
 }
 
 // traceParams are the capture bounds of one traced run: the pipetrace
@@ -59,8 +45,9 @@ type poolResult struct {
 	err     error
 }
 
-// pool is the bounded worker pool behind POST /v1/run. Each worker owns a
-// private set of machines it rewinds with Machine.Reset between requests
+// pool is the bounded worker pool behind POST /v1/run and /v1/trace; its
+// worker count is the server's simulation admission bound. Each worker owns
+// a private cell.Machines set it rewinds with Machine.Reset between requests
 // (the same reuse model as the harness sweep engine), so steady-state
 // traffic over a working set of benchmarks pays program assembly and
 // machine construction only once per (worker, benchmark).
@@ -78,7 +65,7 @@ func newPool(workers int) *pool {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			machines := make(map[string]*core.Machine)
+			machines := cell.NewMachines()
 			for j := range p.jobs {
 				j.reply <- runJob(j, machines)
 			}
@@ -90,22 +77,15 @@ func newPool(workers int) *pool {
 // run submits one simulation and waits for its result. Submission respects
 // the job's context: a caller whose deadline passes while every worker is
 // busy gets the context error instead of queueing forever.
-func (p *pool) run(ctx context.Context, bench string, scale int, maxInsts uint64, cfg core.Config) poolResult {
-	return p.submit(&poolJob{
-		ctx: ctx, bench: bench, scale: scale, maxInsts: maxInsts, cfg: cfg,
-		reply: make(chan poolResult, 1),
-	})
+func (p *pool) run(ctx context.Context, id cell.ID) poolResult {
+	return p.submit(&poolJob{ctx: ctx, id: id, reply: make(chan poolResult, 1)})
 }
 
 // trace submits one observed simulation: the same pooled, machine-reusing
 // path as run, with a pipetrace ring and an interval-sampling observer
 // attached for the duration of the run.
-func (p *pool) trace(ctx context.Context, bench string, scale int, maxInsts uint64, cfg core.Config, tp traceParams) poolResult {
-	return p.submit(&poolJob{
-		ctx: ctx, bench: bench, scale: scale, maxInsts: maxInsts, cfg: cfg,
-		trace: &tp,
-		reply: make(chan poolResult, 1),
-	})
+func (p *pool) trace(ctx context.Context, id cell.ID, tp traceParams) poolResult {
+	return p.submit(&poolJob{ctx: ctx, id: id, trace: &tp, reply: make(chan poolResult, 1)})
 }
 
 func (p *pool) submit(j *poolJob) poolResult {
@@ -125,84 +105,32 @@ func (p *pool) close() {
 	p.wg.Wait()
 }
 
-// runJob performs one simulation on the calling worker, reusing (and on
-// success keeping) a machine from the worker's pool. Panics become errors
-// so one bad run cannot take a worker down, and the machine that panicked
-// is dropped — its state is unknown mid-update, and the Reset determinism
-// contract only covers machines whose Run returned normally.
-func runJob(j *poolJob, machines map[string]*core.Machine) (res poolResult) {
-	key := fmt.Sprintf("%s|%d|%d", j.bench, j.scale, j.maxInsts)
-	defer func() {
-		if p := recover(); p != nil {
-			delete(machines, key)
-			res = poolResult{err: fmt.Errorf("server: panic simulating %s under %s: %v", j.bench, j.cfg.Name(), p)}
+// runJob performs one simulation on the worker's machine for the job's
+// program (see cell.Machines for reuse and panic recovery).
+func runJob(j *poolJob, machines *cell.Machines) (res poolResult) {
+	err := machines.Plain(j.id, func(m *core.Machine) error {
+		if j.trace != nil {
+			res.tracer = &core.PipeTracer{Max: j.trace.window, Ring: true}
+			res.obs = core.NewObserver(j.trace.interval, j.trace.events)
+			m.Trace(res.tracer)
+			m.AttachObserver(res.obs)
+			// Detach on every exit path (including errors) so the machine
+			// the worker keeps for the next request never samples into a
+			// dead observer; a panic drops the machine entirely.
+			defer func() {
+				m.Trace(nil)
+				m.AttachObserver(nil)
+			}()
 		}
-	}()
-	if err := j.ctx.Err(); err != nil {
-		return poolResult{err: err}
-	}
-	m := machines[key]
-	if m != nil {
-		if err := m.Reset(j.cfg); err != nil {
-			return poolResult{err: err}
-		}
-	} else {
-		w, err := workload.Get(j.bench)
-		if err != nil {
-			return poolResult{err: err}
-		}
-		prog, err := w.Load(j.scale)
-		if err != nil {
-			return poolResult{err: err}
-		}
-		m, err = core.New(prog, j.cfg, j.maxInsts)
-		if err != nil {
-			return poolResult{err: err}
-		}
-		if len(machines) >= machineCap {
-			for k := range machines {
-				delete(machines, k)
-				break
-			}
-		}
-		machines[key] = m
-	}
-	var tracer *core.PipeTracer
-	var observer *core.Observer
-	if j.trace != nil {
-		tracer = &core.PipeTracer{Max: j.trace.window, Ring: true}
-		observer = core.NewObserver(j.trace.interval, j.trace.events)
-		m.Trace(tracer)
-		m.AttachObserver(observer)
-		// Detach on every exit path (including errors) so the machine the
-		// worker keeps for the next request never samples into a dead
-		// observer; the panic path drops the machine entirely.
-		defer func() {
-			m.Trace(nil)
-			m.AttachObserver(nil)
-		}()
-	}
-	if err := driveMachine(j.ctx, m); err != nil {
-		return poolResult{err: err}
-	}
-	return poolResult{
-		stats: m.Stats(), output: m.Output(), exitCode: m.ExitCode(),
-		skipped: m.CyclesSkipped(), tracer: tracer, obs: observer,
-	}
-}
-
-// driveMachine runs m to completion in bounded cycle slices so the request
-// context's deadline and cancellation are observed; the machine's own
-// watchdog separately bounds no-progress livelock in simulated time.
-func driveMachine(ctx context.Context, m *core.Machine) error {
-	const slice = 200_000 // cycles between deadline checks
-	for !m.Halted() {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("server: %s at cycle %d: %w", m.Config().Name(), m.Cycle(), err)
-		}
-		if err := m.Run(slice); err != nil {
+		if err := cell.Drive(j.ctx, m); err != nil {
 			return err
 		}
+		res.stats, res.output, res.exitCode = m.Stats(), m.Output(), m.ExitCode()
+		res.skipped = m.CyclesSkipped()
+		return nil
+	})
+	if err != nil {
+		return poolResult{err: err}
 	}
-	return nil
+	return res
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/vpir-sim/vpir/internal/cell"
 	"github.com/vpir-sim/vpir/internal/core"
 	"github.com/vpir-sim/vpir/internal/harness"
 	"github.com/vpir-sim/vpir/internal/sample"
@@ -54,26 +55,13 @@ func (b *SampleBlock) Validate(allowIndex bool) error {
 	return nil
 }
 
-// KeySuffix is the fragment appended to cache/store keys for sampled
-// requests. It is empty for nil blocks, so every pre-sampling key — and the
-// durable store entries addressed by them — stays byte-identical.
-func (b *SampleBlock) KeySuffix() string {
-	if b == nil {
-		return ""
-	}
-	suffix := "|sample:" + b.Plan().Key()
-	if b.IntervalIndex != nil {
-		suffix += fmt.Sprintf("|k%d", *b.IntervalIndex)
-	}
-	return suffix
-}
-
-// spec converts the block to the harness's cell-level sampling spec.
-func (b *SampleBlock) spec() *harness.SampleSpec {
+// spec converts the block to the cell identity's sampling part: nil for no
+// block, the whole plan without an IntervalIndex.
+func (b *SampleBlock) spec() *cell.Sample {
 	if b == nil {
 		return nil
 	}
-	s := &harness.SampleSpec{Plan: b.Plan(), Index: harness.WholeProgram}
+	s := &cell.Sample{Plan: b.Plan(), Index: cell.WholeProgram}
 	if b.IntervalIndex != nil {
 		s.Index = *b.IntervalIndex
 	}
@@ -115,18 +103,23 @@ func sampleResultFrom(sum *sample.Summary) *SampleResult {
 	return out
 }
 
+// ID is the full identity of the cell at the sweep's scale and instruction
+// cap under its resolved configuration (see ResolveCells).
+func (c SweepCellSpec) ID(scale int, maxInsts uint64, cfg core.Config) cell.ID {
+	return cell.ID{Bench: c.Bench, Scale: scale, MaxInsts: maxInsts, Cfg: cfg, Sample: c.Sample.spec()}
+}
+
 // runSampled executes a sampled /v1/run on a per-request harness runner (the
 // same pattern handleSweep uses): the plan's intervals fan out across the
 // runner's worker pool, and the stitched summary comes back alongside the
 // whole-program statistics.
-func (s *Server) runSampled(ctx context.Context, bench string, scale int, maxInsts uint64, cfg core.Config, block *SampleBlock) (*sample.Summary, error) {
+func (s *Server) runSampled(ctx context.Context, id cell.ID) (*sample.Summary, error) {
 	runner := harness.NewRunner()
-	runner.Scale = scale
-	runner.MaxInsts = maxInsts
-	runner.Parallel = true
+	runner.Scale = id.Scale
+	runner.MaxInsts = id.MaxInsts
 	runner.Parallelism = s.cfg.SweepParallelism
 	if s.cfg.Timeout > 0 {
 		runner.Timeout = s.cfg.Timeout
 	}
-	return runner.RunSampled(ctx, bench, cfg, block.Plan())
+	return runner.RunSampled(ctx, id.Bench, id.Cfg, id.Sample.Plan)
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/vpir-sim/vpir/internal/cell"
 	"github.com/vpir-sim/vpir/internal/core"
 	"github.com/vpir-sim/vpir/internal/harness"
 	"github.com/vpir-sim/vpir/internal/obs"
@@ -284,7 +285,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Sampled requests extend the key with the plan; non-sampled keys (and
 	// the store entries they address) are byte-identical to before sampling
 	// existed, so X-Cache semantics are unchanged for existing clients.
-	key := fmt.Sprintf("%s|%d|%d|%s%s", req.Bench, scale, maxInsts, cfg.Key(), req.Sample.KeySuffix())
+	id := cell.ID{Bench: req.Bench, Scale: scale, MaxInsts: maxInsts, Cfg: cfg, Sample: req.Sample.spec()}
+	key := id.Key()
 
 	s.mu.Lock()
 	body, hit := s.cache.get(key)
@@ -315,7 +317,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			// Sampled runs go to a per-request harness runner (the pattern
 			// handleSweep uses) so the plan's intervals fan out in parallel
 			// instead of holding one pool worker for the whole program.
-			sum, err := s.runSampled(ctx, req.Bench, scale, maxInsts, cfg, req.Sample)
+			sum, err := s.runSampled(ctx, id)
 			s.metrics.AddGauge("server.sims.inflight", -1)
 			s.metrics.Observe("server.run.seconds", runSecondsBounds, time.Since(start).Seconds())
 			if err != nil {
@@ -331,7 +333,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 				Sample:   sampleResultFrom(sum),
 			}
 		} else {
-			res := s.pool.run(ctx, req.Bench, scale, maxInsts, cfg)
+			res := s.pool.run(ctx, id)
 			s.metrics.AddGauge("server.sims.inflight", -1)
 			s.metrics.Observe("server.run.seconds", runSecondsBounds, time.Since(start).Seconds())
 			if res.err != nil {
@@ -540,7 +542,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	runner := harness.NewRunner()
 	runner.Scale = scale
 	runner.MaxInsts = maxInsts
-	runner.Parallel = true
 	runner.Parallelism = s.cfg.SweepParallelism
 	if s.cfg.Timeout > 0 {
 		runner.Timeout = s.cfg.Timeout

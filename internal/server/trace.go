@@ -4,10 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
+	"github.com/vpir-sim/vpir/internal/cell"
 	"github.com/vpir-sim/vpir/internal/core"
 	"github.com/vpir-sim/vpir/internal/obs"
 	"github.com/vpir-sim/vpir/internal/workload"
@@ -128,8 +128,7 @@ func TraceKey(req TraceRequest, scale int, maxInsts uint64) (string, error) {
 		return "", err
 	}
 	tp := clampTrace(req)
-	return fmt.Sprintf("trace|%s|%d|%d|%d|%d|%d|%s",
-		req.Bench, scale, maxInsts, tp.window, tp.interval, tp.events, cfg.Key()), nil
+	return cell.ID{Bench: req.Bench, Scale: scale, MaxInsts: maxInsts, Cfg: cfg}.TraceKey(tp.window, tp.interval, tp.events), nil
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -157,7 +156,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	scale, maxInsts := s.clamp(req.Scale, req.MaxInsts)
 	tp := clampTrace(req)
-	key, _ := TraceKey(req, scale, maxInsts)
+	id := cell.ID{Bench: req.Bench, Scale: scale, MaxInsts: maxInsts, Cfg: cfg}
+	key := id.TraceKey(tp.window, tp.interval, tp.events)
 
 	s.mu.Lock()
 	body, hit := s.cache.get(key)
@@ -179,7 +179,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		s.metrics.AddGauge("server.sims.inflight", 1)
 		start := time.Now()
-		res := s.pool.trace(ctx, req.Bench, scale, maxInsts, cfg, tp)
+		res := s.pool.trace(ctx, id, tp)
 		s.metrics.AddGauge("server.sims.inflight", -1)
 		s.metrics.Observe("server.run.seconds", runSecondsBounds, time.Since(start).Seconds())
 		if res.err != nil {

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"github.com/vpir-sim/vpir/internal/asm"
+	"github.com/vpir-sim/vpir/internal/cell"
 	"github.com/vpir-sim/vpir/internal/core"
 	"github.com/vpir-sim/vpir/internal/harness"
 	"github.com/vpir-sim/vpir/internal/prog"
@@ -352,21 +353,13 @@ func runProgram(p *prog.Program, opt Options) (Result, error) {
 	if opt.Metrics != nil {
 		m.AttachObserver(core.NewObserver(opt.Metrics.Interval, opt.Metrics.EventCap))
 	}
+	ctx := context.Background()
 	if opt.Timeout > 0 {
-		// Drive the machine in slices so the wall-clock deadline is
-		// observed; the watchdog separately bounds simulated-time livelock.
-		deadline := time.Now().Add(opt.Timeout)
-		const slice = 200_000
-		for !m.Halted() {
-			if time.Now().After(deadline) {
-				return Result{}, fmt.Errorf("vpir: %s timed out after %v at cycle %d",
-					cfg.Name(), opt.Timeout, m.Cycle())
-			}
-			if err := m.Run(slice); err != nil {
-				return Result{}, err
-			}
-		}
-	} else if err := m.Run(0); err != nil {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
+		defer cancel()
+	}
+	if err := cell.Drive(ctx, m); err != nil {
 		return Result{}, err
 	}
 	return resultFrom(m), nil

@@ -1,8 +1,11 @@
 package vpir
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestBenchmarks(t *testing.T) {
@@ -280,5 +283,29 @@ func TestRunBenchmarkWithMetrics(t *testing.T) {
 	if plain.IPC != res.IPC || plain.Cycles != res.Cycles {
 		t.Errorf("observer changed results: %v/%v cycles vs %v/%v",
 			plain.IPC, plain.Cycles, res.IPC, res.Cycles)
+	}
+}
+
+// TestRunBenchmarkTimeout: a wall-clock deadline shorter than any real
+// simulation aborts the run with the deadline error instead of returning a
+// result, and a generous one does not change the result.
+func TestRunBenchmarkTimeout(t *testing.T) {
+	res, err := RunBenchmark("compress", 1, Options{Technique: IR, Timeout: time.Nanosecond})
+	if err == nil {
+		t.Fatalf("1ns timeout returned a result: %+v", res)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	want, err := RunBenchmark("compress", 1, Options{Technique: IR, MaxInsts: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunBenchmark("compress", 1, Options{Technique: IR, MaxInsts: 20_000, Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("timeout changed the result:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -1,7 +1,7 @@
 // Command vpir-server exposes the simulator as an HTTP JSON service: a
 // bounded worker pool with per-worker machine reuse behind POST /v1/run, a
-// singleflight layer coalescing duplicate in-flight requests, a
-// size-bounded LRU result cache, and NDJSON-streamed parameter sweeps
+// size-bounded result cache that also coalesces duplicate in-flight
+// requests (internal/cell's Cache), and NDJSON-streamed parameter sweeps
 // batched through the harness sweep engine behind POST /v1/sweep. See
 // docs/server.md for the API and a curl quickstart.
 //
@@ -47,7 +47,7 @@ func main() {
 func run() int {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "run worker pool size (0 = GOMAXPROCS)")
-	cache := flag.Int("cache", server.DefaultCacheEntries, "LRU result cache entries (negative disables)")
+	cache := flag.Int("cache", server.DefaultCacheEntries, "result cache entries (negative disables retention; in-flight duplicates still coalesce)")
 	timeout := flag.Duration("timeout", server.DefaultTimeout, "per-simulation wall-clock bound (negative disables)")
 	maxInsts := flag.Uint64("maxinsts", 0, "clamp per-run dynamic instruction counts (0 = no cap)")
 	maxScale := flag.Int("maxscale", server.DefaultMaxScale, "largest workload scale a request may ask for")

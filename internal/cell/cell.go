@@ -1,11 +1,12 @@
-// Package cell owns the two decisions every execution layer shares: the
+// Package cell owns the decisions every execution layer shares: the
 // identity of one simulation cell of the VP-vs-IR grid (a benchmark, a
 // scale, an instruction cap and a machine configuration, plus an optional
-// sampling plan), and the per-worker set of reusable machines that runs
-// cells. The harness sweep engine, the simulation server's pool workers,
-// the distributed coordinator and the fault-injection campaign all key and
-// run cells through this package, so a cell is spelled, cached, routed and
-// stored the same way everywhere.
+// sampling plan), the in-memory cache that computes each cell once (Cache),
+// and the per-worker set of reusable machines that runs cells. The harness
+// sweep engine, the simulation server's pool workers, the distributed
+// coordinator and the fault-injection campaign all key and run cells
+// through this package, so a cell is spelled, cached, routed and stored the
+// same way everywhere.
 package cell
 
 import (

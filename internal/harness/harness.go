@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/vpir-sim/vpir/internal/cell"
@@ -60,10 +59,11 @@ type Runner struct {
 	// Cells that carry their own Sample are unaffected.
 	Sample *sample.Plan
 
-	mu    sync.Mutex
-	cache map[string]cellOutcome
-	red   map[string]*redundancy.Result
-	ff    map[string]*ffEntry
+	// Every cell result, fast-forward pass and limit study is computed
+	// once per Runner, however many experiments or workers ask for it.
+	cache cell.Cache[cellOutcome]
+	ff    cell.Cache[fastForwarded]
+	red   cell.Cache[*redundancy.Result]
 
 	// runHook, when non-nil, replaces driving the machine in attempt; tests
 	// use it to inject failures, panics and transient errors.
@@ -85,11 +85,7 @@ func IsTransient(err error) bool {
 
 // NewRunner builds a Runner with the standard scale.
 func NewRunner() *Runner {
-	return &Runner{
-		Scale: 1,
-		cache: make(map[string]cellOutcome),
-		red:   make(map[string]*redundancy.Result),
-	}
+	return &Runner{Scale: 1}
 }
 
 // Run simulates one benchmark under one configuration (cached). The cache
@@ -125,28 +121,18 @@ func (r *Runner) RunAll(cfg core.Config) (map[string]core.Stats, error) {
 // Redundancy runs the §4.3 limit study for one benchmark (cached).
 func (r *Runner) Redundancy(bench string) (*redundancy.Result, error) {
 	key := cell.ID{Bench: bench, Scale: r.Scale, MaxInsts: r.MaxInsts}.Key()
-	r.mu.Lock()
-	if res, ok := r.red[key]; ok {
-		r.mu.Unlock()
-		return res, nil
-	}
-	r.mu.Unlock()
-	w, err := workload.Get(bench)
-	if err != nil {
-		return nil, err
-	}
-	p, err := w.Load(r.Scale)
-	if err != nil {
-		return nil, err
-	}
-	res, err := redundancy.Analyze(p, redundancy.DefaultConfig(), r.MaxInsts)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.red[key] = res
-	r.mu.Unlock()
-	return res, nil
+	res, _, err := r.red.Do(context.Background(), key, func(context.Context) (*redundancy.Result, error) {
+		w, err := workload.Get(bench)
+		if err != nil {
+			return nil, err
+		}
+		p, err := w.Load(r.Scale)
+		if err != nil {
+			return nil, err
+		}
+		return redundancy.Analyze(p, redundancy.DefaultConfig(), r.MaxInsts)
+	})
+	return res, err
 }
 
 // Experiment regenerates one paper table or figure.

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,8 +28,11 @@ func TestRunCaching(t *testing.T) {
 	if s1 != s2 {
 		t.Error("cached run differs")
 	}
-	if len(r.cache) != 1 {
-		t.Errorf("cache size = %d", len(r.cache))
+	// The repeated cell is served from the cache: it reports no attempt of
+	// its own.
+	res := r.Sweep(context.Background(), []SweepCell{{Bench: "compress", Cfg: core.DefaultConfig()}})[0]
+	if res.Err != nil || res.Attempts != 0 || res.Stats != s1 {
+		t.Errorf("repeated cell: attempts %d, err %v, stats equal %v; want a cache hit", res.Attempts, res.Err, res.Stats == s1)
 	}
 }
 

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"github.com/vpir-sim/vpir/internal/cell"
 	"github.com/vpir-sim/vpir/internal/core"
@@ -12,56 +11,35 @@ import (
 	"github.com/vpir-sim/vpir/internal/workload"
 )
 
-// ffEntry is one fast-forward pass, computed once per (bench, scale, cap,
-// cfg, plan) under singleflight: every interval cell of the same plan shares
-// the checkpoints, and a worker that loses the race blocks on the winner
-// instead of redoing the functional run.
-type ffEntry struct {
-	once sync.Once
+// fastForwarded is one fast-forward pass and the program it ran on.
+type fastForwarded struct {
 	prog *prog.Program
 	ff   *sample.FFResult
-	err  error
 }
 
-// fastForward returns the cached fast-forward pass for the sampled cell's
-// plan, running it on first use. The program image is loaded once alongside
-// and shared — it is read-only after assembly, and both interval oracles and
-// restored machines only ever copy from it. A panic in the pass becomes
-// every waiter's error.
-func (r *Runner) fastForward(id cell.ID) (*prog.Program, *sample.FFResult, error) {
+// fastForward returns the fast-forward pass for the sampled cell's plan,
+// running it once per (bench, scale, cap, cfg, plan): every interval cell
+// of the same plan shares the checkpoints, and a worker that asks while the
+// pass runs waits for it instead of redoing the functional run. The program
+// image is loaded once alongside and shared — it is read-only after
+// assembly, and both interval oracles and restored machines only ever copy
+// from it. A panic in the pass becomes every waiter's error.
+func (r *Runner) fastForward(ctx context.Context, id cell.ID) (*prog.Program, *sample.FFResult, error) {
 	plan := id.Sample.Plan
 	id.Sample = &cell.Sample{Plan: plan, Index: cell.WholeProgram}
-	key := id.Key()
-	r.mu.Lock()
-	if r.ff == nil {
-		r.ff = make(map[string]*ffEntry)
-	}
-	e, ok := r.ff[key]
-	if !ok {
-		e = &ffEntry{}
-		r.ff[key] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() {
-		defer func() {
-			if p := recover(); p != nil {
-				e.err = fmt.Errorf("harness: panic fast-forwarding %s under %s: %v", id.Bench, id.Cfg.Name(), p)
-			}
-		}()
+	f, _, err := r.ff.Do(ctx, id.Key(), func(context.Context) (fastForwarded, error) {
 		w, err := workload.Get(id.Bench)
 		if err != nil {
-			e.err = err
-			return
+			return fastForwarded{}, err
 		}
 		p, err := w.Load(id.Scale)
 		if err != nil {
-			e.err = err
-			return
+			return fastForwarded{}, err
 		}
-		e.prog = p
-		e.ff, e.err = sample.FastForward(p, id.Cfg, plan, id.MaxInsts)
+		ff, err := sample.FastForward(p, id.Cfg, plan, id.MaxInsts)
+		return fastForwarded{p, ff}, err
 	})
-	return e.prog, e.ff, e.err
+	return f.prog, f.ff, err
 }
 
 // runInterval drives interval k on the worker's restored machine for the
@@ -112,7 +90,7 @@ func (r *Runner) RunSampled(ctx context.Context, bench string, cfg core.Config, 
 		return nil, err
 	}
 	whole := SweepCell{Bench: bench, Cfg: cfg, Sample: &cell.Sample{Plan: plan, Index: cell.WholeProgram}}
-	_, ff, err := r.fastForward(r.cellID(whole))
+	_, ff, err := r.fastForward(ctx, r.cellID(whole))
 	if err != nil {
 		return nil, err
 	}

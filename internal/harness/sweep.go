@@ -146,31 +146,22 @@ func (r *Runner) cellID(c SweepCell) cell.ID {
 }
 
 // runCell is the cached, retrying simulation shared by Run, RunSampled and
-// Sweep. The returned attempt count is 0 for a cache hit and otherwise the
-// 1-based attempt that produced the result.
+// Sweep. The returned attempt count is 0 for a result the call did not
+// compute itself (a cache hit, or another worker's computation of the same
+// cell) and otherwise the 1-based attempt that produced the result.
 func (r *Runner) runCell(ctx context.Context, c SweepCell, machines *cell.Machines) (cellOutcome, int, error) {
 	id := r.cellID(c)
-	key := id.Key()
-	r.mu.Lock()
-	if out, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		return out, 0, nil
-	}
-	r.mu.Unlock()
-
-	attempts := 1
-	out, err := r.attemptCell(ctx, id, machines)
-	for err != nil && IsTransient(err) && attempts <= r.Retries {
-		attempts++
-		out, err = r.attemptCell(ctx, id, machines)
-	}
-	if err != nil {
-		return cellOutcome{}, attempts, err
-	}
-	r.mu.Lock()
-	r.cache[key] = out
-	r.mu.Unlock()
-	return out, attempts, nil
+	attempts := 0
+	out, _, err := r.cache.Do(ctx, id.Key(), func(ctx context.Context) (cellOutcome, error) {
+		attempts = 1
+		out, err := r.attemptCell(ctx, id, machines)
+		for err != nil && IsTransient(err) && attempts <= r.Retries {
+			attempts++
+			out, err = r.attemptCell(ctx, id, machines)
+		}
+		return out, err
+	})
+	return out, attempts, err
 }
 
 // attemptCell dispatches one attempt to the cell's simulation mode. The
@@ -181,7 +172,7 @@ func (r *Runner) attemptCell(ctx context.Context, id cell.ID, machines *cell.Mac
 	var ff *sample.FFResult
 	if id.Sample != nil {
 		var err error
-		if p, ff, err = r.fastForward(id); err != nil {
+		if p, ff, err = r.fastForward(ctx, id); err != nil {
 			return cellOutcome{}, err
 		}
 	}

@@ -1,7 +1,7 @@
 // Package server turns the simulator into a network service: an HTTP JSON
 // API that runs simulations on a bounded worker pool with per-worker
-// machine reuse, coalesces duplicate in-flight requests, serves repeats
-// from a size-bounded LRU result cache, and decomposes sweep requests into
+// machine reuse, serves repeats from a size-bounded result cache that also
+// coalesces duplicate in-flight requests, and decomposes sweep requests into
 // cells batched through the harness's parallel sweep engine. See
 // docs/server.md for the API and operational contract.
 package server

@@ -251,3 +251,74 @@ func TestRunStoreBacksLRU(t *testing.T) {
 		t.Error("LRU-promoted body differs")
 	}
 }
+
+// TestLeaderHangupSparesFollowers: when the client whose request is
+// simulating a cell hangs up mid-run, another request for the same cell,
+// which joined the run while it was in flight, is still answered with the
+// body a fresh run gives — not with the first client's cancellation.
+func TestLeaderHangupSparesFollowers(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	req := RunRequest{Bench: "gcc", MaxInsts: 1_000_000}
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(ctx context.Context) (int, []byte, error) {
+		hreq, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/run", bytes.NewReader(raw))
+		if err != nil {
+			return 0, nil, err
+		}
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			return 0, nil, err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, body, err
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(20 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	leaderCtx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		post(leaderCtx)
+	}()
+	waitFor("the leader's simulation", func() bool { return s.Metrics().Gauge("server.sims.inflight") == 1 })
+
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	follower := make(chan reply, 1)
+	go func() {
+		status, body, err := post(context.Background())
+		follower <- reply{status, body, err}
+	}()
+	waitFor("the follower's miss", func() bool { return s.Metrics().Counter("server.cache.misses") == 2 })
+	time.Sleep(20 * time.Millisecond) // let the follower join the leader's run
+	hangUp()
+	<-leaderDone
+
+	f := <-follower
+	if f.err != nil || f.status != http.StatusOK {
+		t.Fatalf("follower got %d %s (%v), want 200", f.status, f.body, f.err)
+	}
+	_, fresh := testServer(t, Config{})
+	resp, want := postRun(t, fresh.URL, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fresh run status = %d, body %s", resp.StatusCode, want)
+	}
+	if !bytes.Equal(f.body, want) {
+		t.Errorf("follower body differs from a fresh run's:\n%s\n%s", f.body, want)
+	}
+}

@@ -48,8 +48,9 @@ type Config struct {
 	// Workers is the run pool size (0 = GOMAXPROCS). The pool bounds how
 	// many simulations execute concurrently regardless of request volume.
 	Workers int
-	// CacheEntries bounds the LRU result cache (0 = the 1024 default;
-	// negative disables caching).
+	// CacheEntries bounds the in-memory result cache (0 = the 1024
+	// default; negative disables retention, concurrent identical requests
+	// are still coalesced).
 	CacheEntries int
 	// Timeout bounds each simulation's wall-clock time (0 = the 2-minute
 	// default; negative disables the bound).
@@ -72,9 +73,9 @@ type Config struct {
 	// default; negative disables heartbeats).
 	Heartbeat time.Duration
 	// Store, when non-nil, is the durable content-addressed result store
-	// backing the in-memory LRU: /v1/run misses consult it before
-	// simulating (X-Cache: STORE) and computed results are written through,
-	// so a restarted server warms itself from history.
+	// backing the in-memory cache: /v1/run and /v1/trace misses consult it
+	// before simulating (X-Cache: STORE) and computed results are written
+	// through, so a restarted server warms itself from history.
 	Store *resultstore.Store
 }
 
@@ -100,18 +101,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the simulation service: a bounded run pool, a singleflight
-// layer that coalesces duplicate in-flight requests, a size-bounded LRU
-// result cache, and the HTTP handlers that expose them. Create one with
-// New, mount Handler, and Drain it on shutdown.
+// Server is the simulation service: a bounded run pool, a size-bounded
+// result cache that also coalesces duplicate in-flight requests, and the
+// HTTP handlers that expose them. Create one with New, mount Handler, and
+// Drain it on shutdown.
 type Server struct {
 	cfg     Config
 	pool    *pool
 	metrics *obs.Shared
-	flight  flightGroup
-
-	mu    sync.Mutex // guards cache
-	cache *lruCache
+	cache   *cell.Cache[[]byte] // marshaled response bodies
 
 	stateMu   sync.Mutex // guards draining + inflight admission
 	draining  bool
@@ -122,11 +120,14 @@ type Server struct {
 // New builds a Server ready to serve.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	metrics := obs.NewShared()
 	return &Server{
 		cfg:     cfg,
 		pool:    newPool(cfg.Workers),
-		metrics: obs.NewShared(),
-		cache:   newLRU(cfg.CacheEntries),
+		metrics: metrics,
+		cache: cell.NewCache[[]byte](cfg.CacheEntries, func(n int) {
+			metrics.Add("server.cache.evictions", uint64(n))
+		}),
 	}
 }
 
@@ -286,84 +287,62 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// the store entries they address) are byte-identical to before sampling
 	// existed, so X-Cache semantics are unchanged for existing clients.
 	id := cell.ID{Bench: req.Bench, Scale: scale, MaxInsts: maxInsts, Cfg: cfg, Sample: req.Sample.spec()}
-	key := id.Key()
-
-	s.mu.Lock()
-	body, hit := s.cache.get(key)
-	s.mu.Unlock()
-	if hit {
-		s.metrics.Inc("server.cache.hits")
-		writeJSONBody(w, "HIT", body)
-		return
-	}
-	s.metrics.Inc("server.cache.misses")
-
-	// Behind the LRU sits the durable store: a restarted server (or a cold
-	// fleet member sharing history) serves repeats from disk instead of
-	// resimulating. Store reads are checksum-verified; a corrupt entry is
-	// quarantined inside the store and comes back as a plain miss.
-	if body, ok := s.storeGet(key); ok {
-		writeJSONBody(w, "STORE", body)
-		return
-	}
-
-	body, err, shared := s.flight.do(key, func() ([]byte, error) {
-		ctx, cancel := s.simContext(r.Context())
-		defer cancel()
-		s.metrics.AddGauge("server.sims.inflight", 1)
-		start := time.Now()
-		var resp RunResponse
+	s.respond(w, r, "run", id.Key(), func(ctx context.Context) (any, error) {
+		resp := RunResponse{Bench: req.Bench, Scale: scale, MaxInsts: maxInsts}
 		if req.Sample != nil {
 			// Sampled runs go to a per-request harness runner (the pattern
 			// handleSweep uses) so the plan's intervals fan out in parallel
 			// instead of holding one pool worker for the whole program.
 			sum, err := s.runSampled(ctx, id)
-			s.metrics.AddGauge("server.sims.inflight", -1)
-			s.metrics.Observe("server.run.seconds", runSecondsBounds, time.Since(start).Seconds())
 			if err != nil {
 				return nil, err
 			}
-			resp = RunResponse{
-				Bench:    req.Bench,
-				Scale:    scale,
-				MaxInsts: maxInsts,
-				Stats:    statsFrom(cfg, sum.Stats),
-				Output:   sum.Output,
-				ExitCode: sum.ExitCode,
-				Sample:   sampleResultFrom(sum),
-			}
-		} else {
-			res := s.pool.run(ctx, id)
-			s.metrics.AddGauge("server.sims.inflight", -1)
-			s.metrics.Observe("server.run.seconds", runSecondsBounds, time.Since(start).Seconds())
-			if res.err != nil {
-				return nil, res.err
-			}
-			resp = RunResponse{
-				Bench:    req.Bench,
-				Scale:    scale,
-				MaxInsts: maxInsts,
-				Stats:    statsFrom(cfg, res.stats),
-				Output:   res.output,
-				ExitCode: res.exitCode,
-			}
+			resp.Stats, resp.Output, resp.ExitCode = statsFrom(cfg, sum.Stats), sum.Output, sum.ExitCode
+			resp.Sample = sampleResultFrom(sum)
+			return resp, nil
 		}
-		b, err := json.Marshal(resp)
+		res := s.pool.run(ctx, id)
+		if res.err != nil {
+			return nil, res.err
+		}
+		resp.Stats, resp.Output, resp.ExitCode = statsFrom(cfg, res.stats), res.output, res.exitCode
+		return resp, nil
+	})
+}
+
+// respond answers a /v1/run or /v1/trace request for the result under key.
+// A retained body is a HIT. Otherwise the request joins the cache's
+// coalesced miss: its leader reads the durable store (STORE) or simulates
+// with compute and writes the result through (MISS), and every other
+// request that asked meanwhile shares the leader's body (COALESCED).
+// kind ("run" or "trace") names the error counter.
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, kind, key string, compute func(context.Context) (any, error)) {
+	if body, ok := s.cache.Get(key); ok {
+		s.metrics.Inc("server.cache.hits")
+		writeJSONBody(w, "HIT", body)
+		return
+	}
+	s.metrics.Inc("server.cache.misses")
+	status := "MISS"
+	body, shared, err := s.cache.Do(r.Context(), key, func(ctx context.Context) ([]byte, error) {
+		// Behind the in-memory cache sits the durable store: a restarted
+		// server (or a cold fleet member sharing history) serves repeats
+		// from disk instead of resimulating. Store reads are
+		// checksum-verified; a corrupt entry is quarantined inside the
+		// store and comes back as a plain miss.
+		if body, ok := s.storeGet(key); ok {
+			status = "STORE"
+			return body, nil
+		}
+		body, err := s.simulate(ctx, compute)
 		if err != nil {
 			return nil, err
 		}
-		b = append(b, '\n')
-		s.mu.Lock()
-		evicted := s.cache.add(key, b)
-		s.mu.Unlock()
-		if evicted > 0 {
-			s.metrics.Add("server.cache.evictions", uint64(evicted))
-		}
-		s.storePut(key, b)
-		return b, nil
+		s.storePut(key, body)
+		return body, nil
 	})
 	if err != nil {
-		s.metrics.Inc("server.run.errors")
+		s.metrics.Inc("server." + kind + ".errors")
 		code := http.StatusInternalServerError
 		if errors.Is(err, context.DeadlineExceeded) {
 			code = http.StatusGatewayTimeout
@@ -373,7 +352,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err.Error())
 		return
 	}
-	status := "MISS"
 	if shared {
 		s.metrics.Inc("server.coalesced")
 		status = "COALESCED"
@@ -381,11 +359,30 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSONBody(w, status, body)
 }
 
+// simulate runs compute under the per-simulation bound and returns its
+// response marshaled, newline-terminated.
+func (s *Server) simulate(ctx context.Context, compute func(context.Context) (any, error)) ([]byte, error) {
+	ctx, cancel := s.simContext(ctx)
+	defer cancel()
+	s.metrics.AddGauge("server.sims.inflight", 1)
+	start := time.Now()
+	resp, err := compute(ctx)
+	s.metrics.AddGauge("server.sims.inflight", -1)
+	s.metrics.Observe("server.run.seconds", runSecondsBounds, time.Since(start).Seconds())
+	if err != nil {
+		return nil, err
+	}
+	body, err := json.Marshal(resp)
+	if err != nil {
+		return nil, err
+	}
+	return append(body, '\n'), nil
+}
+
 // runSecondsBounds buckets simulation wall-clock times.
 var runSecondsBounds = []float64{0.01, 0.05, 0.1, 0.5, 1, 5, 30}
 
-// storeGet consults the durable store (if configured) and promotes a hit
-// into the LRU so the disk is touched at most once per key per process.
+// storeGet consults the durable store, if one is configured.
 func (s *Server) storeGet(key string) ([]byte, bool) {
 	if s.cfg.Store == nil {
 		return nil, false
@@ -400,12 +397,6 @@ func (s *Server) storeGet(key string) ([]byte, bool) {
 		return nil, false
 	}
 	s.metrics.Inc("server.store.hits")
-	s.mu.Lock()
-	evicted := s.cache.add(key, body)
-	s.mu.Unlock()
-	if evicted > 0 {
-		s.metrics.Add("server.cache.evictions", uint64(evicted))
-	}
 	return body, true
 }
 
@@ -685,15 +676,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
 }
 
-// cacheLen reports the current result-cache entry count.
-func (s *Server) cacheLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cache.len()
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Set("server.cache.entries", float64(s.cacheLen()))
+	s.metrics.Set("server.cache.entries", float64(s.cache.Len()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.WritePrometheus(w)
 }

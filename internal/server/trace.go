@@ -3,9 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
-	"time"
 
 	"github.com/vpir-sim/vpir/internal/cell"
 	"github.com/vpir-sim/vpir/internal/core"
@@ -157,36 +155,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	scale, maxInsts := s.clamp(req.Scale, req.MaxInsts)
 	tp := clampTrace(req)
 	id := cell.ID{Bench: req.Bench, Scale: scale, MaxInsts: maxInsts, Cfg: cfg}
-	key := id.TraceKey(tp.window, tp.interval, tp.events)
-
-	s.mu.Lock()
-	body, hit := s.cache.get(key)
-	s.mu.Unlock()
-	if hit {
-		s.metrics.Inc("server.cache.hits")
-		writeJSONBody(w, "HIT", body)
-		return
-	}
-	s.metrics.Inc("server.cache.misses")
-
-	if body, ok := s.storeGet(key); ok {
-		writeJSONBody(w, "STORE", body)
-		return
-	}
-
-	body, err, shared := s.flight.do(key, func() ([]byte, error) {
-		ctx, cancel := s.simContext(r.Context())
-		defer cancel()
-		s.metrics.AddGauge("server.sims.inflight", 1)
-		start := time.Now()
+	s.respond(w, r, "trace", id.TraceKey(tp.window, tp.interval, tp.events), func(ctx context.Context) (any, error) {
 		res := s.pool.trace(ctx, id, tp)
-		s.metrics.AddGauge("server.sims.inflight", -1)
-		s.metrics.Observe("server.run.seconds", runSecondsBounds, time.Since(start).Seconds())
 		if res.err != nil {
 			return nil, res.err
 		}
 		series := res.obs.Series().JSON()
-		resp := TraceResponse{
+		return TraceResponse{
 			Bench:         req.Bench,
 			Scale:         scale,
 			MaxInsts:      maxInsts,
@@ -205,36 +180,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 				Fields:   series.Fields,
 				Rows:     series.Rows,
 			},
-		}
-		b, err := json.Marshal(resp)
-		if err != nil {
-			return nil, err
-		}
-		b = append(b, '\n')
-		s.mu.Lock()
-		evicted := s.cache.add(key, b)
-		s.mu.Unlock()
-		if evicted > 0 {
-			s.metrics.Add("server.cache.evictions", uint64(evicted))
-		}
-		s.storePut(key, b)
-		return b, nil
+		}, nil
 	})
-	if err != nil {
-		s.metrics.Inc("server.trace.errors")
-		code := http.StatusInternalServerError
-		if errors.Is(err, context.DeadlineExceeded) {
-			code = http.StatusGatewayTimeout
-		} else if errors.Is(err, context.Canceled) {
-			code = 499 // client closed request
-		}
-		writeError(w, code, err.Error())
-		return
-	}
-	status := "MISS"
-	if shared {
-		s.metrics.Inc("server.coalesced")
-		status = "COALESCED"
-	}
-	writeJSONBody(w, status, body)
 }

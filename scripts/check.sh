@@ -20,13 +20,14 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
-echo "== go vet + go test -race (core, harness, faultinject, server, coord) =="
+echo "== go vet + go test -race (core, cell, harness, faultinject, server, coord) =="
 # Explicit gate for the concurrency-heavy packages: the sweep engine, the
-# parallel fault campaign, the core machinery their workers reuse, the HTTP
-# simulation server (cache/singleflight/drain under concurrent load), and
-# the distributed sweep coordinator (hedging/breakers/store).
-go vet ./internal/core/ ./internal/harness/ ./internal/faultinject/ ./internal/server/ ./internal/coord/
-go test -race ./internal/core/ ./internal/harness/ ./internal/faultinject/ ./internal/server/ ./internal/coord/
+# parallel fault campaign, the core machinery their workers reuse, the
+# coalescing result cache (internal/cell) both share, the HTTP simulation
+# server (cache/drain under concurrent load), and the distributed sweep
+# coordinator (hedging/breakers/store).
+go vet ./internal/core/ ./internal/cell/ ./internal/harness/ ./internal/faultinject/ ./internal/server/ ./internal/coord/
+go test -race ./internal/core/ ./internal/cell/ ./internal/harness/ ./internal/faultinject/ ./internal/server/ ./internal/coord/
 
 echo "== go test -race (full suite) =="
 go test -race ./...
